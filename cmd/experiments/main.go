@@ -20,9 +20,8 @@
 // of every failed (workload, config, seed) job — as one JSON document
 // instead of text. The engine report goes to stderr in text mode so
 // stdout stays a clean table stream. -chaos-seeds sizes the chaos
-// campaign. -shards runs each simulated machine on that many worker
-// goroutines; tables are identical at any shard count, and -parallel is
-// clamped when parallel x shards would oversubscribe the host.
+// campaign. Malformed flags (-cores, -scale or -chaos-seeds below 1)
+// exit 2 before anything is simulated.
 package main
 
 import (
@@ -36,7 +35,6 @@ import (
 	"wbsim/internal/faults"
 	"wbsim/internal/litmus"
 	"wbsim/internal/profiling"
-	"wbsim/internal/runner"
 	"wbsim/internal/sim"
 	"wbsim/internal/stats"
 )
@@ -49,7 +47,6 @@ func mainExit() int {
 		scale      = flag.Int("scale", 2, "workload scale factor")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations (<=0: GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "worker goroutines per simulation (tables identical at any setting)")
 		jsonOut    = flag.Bool("json", false, "emit tables and engine counters as JSON")
 		maxCycles  = flag.Uint64("max-cycles", 0, "cycle budget per simulation (0: config default)")
 		chaosSeeds = flag.Int("chaos-seeds", 8, "seeds per (plan, test, variant) chaos cell")
@@ -59,6 +56,12 @@ func mainExit() int {
 	flag.Parse()
 	profiling.TuneGC()
 
+	if *cores < 1 || *scale < 1 || *chaosSeeds < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -cores, -scale and -chaos-seeds must be at least 1 (got %d, %d and %d)\n",
+			*cores, *scale, *chaosSeeds)
+		return 2
+	}
+
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -66,12 +69,8 @@ func mainExit() int {
 	}
 	defer stopProf()
 
-	fan, warn := runner.ClampParallelForShards(*parallel, *shards)
-	if warn != "" {
-		fmt.Fprintf(os.Stderr, "experiments: %s\n", warn)
-	}
-	opt := experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed, MaxCycles: sim.Cycle(*maxCycles), Shards: *shards}
-	eng := experiments.NewEngine(fan)
+	opt := experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed, MaxCycles: sim.Cycle(*maxCycles)}
+	eng := experiments.NewEngine(*parallel)
 
 	what := "all"
 	if flag.NArg() > 0 {
@@ -164,9 +163,8 @@ func mainExit() int {
 		summary := litmus.Chaos(litmus.Suite(), core.SoundVariants(), faults.Catalog(), litmus.Options{
 			Seeds:     *chaosSeeds,
 			Jitter:    24,
-			Parallel:  fan,
+			Parallel:  *parallel,
 			MaxCycles: sim.Cycle(*maxCycles),
-			Shards:    *shards,
 		})
 		if *jsonOut {
 			out, err := json.MarshalIndent(summary, "", "  ")

@@ -17,10 +17,8 @@
 // -plan injects a named fault plan and -seed/-max-cycles pin the exact
 // machine, so a hang found by the chaos campaign reproduces in one
 // invocation; a hang or contained panic prints its full HangReport.
-// -shards runs each simulated machine on that many worker goroutines
-// (the sharded kernel, DESIGN.md); the printed statistics are identical
-// at any shard count, and -parallel is clamped when parallel x shards
-// would oversubscribe the host.
+// Malformed flags (-cores or -scale below 1, an unknown -class or
+// -variant) exit 2 before anything is simulated.
 package main
 
 import (
@@ -49,7 +47,6 @@ func run() int {
 		scale     = flag.Int("scale", 1, "workload scale factor")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulations (<=0: GOMAXPROCS)")
-		shards    = flag.Int("shards", 1, "worker goroutines per simulation (results identical at any setting)")
 		list      = flag.Bool("list", false, "list available workloads and exit")
 		listVars  = flag.Bool("list-variants", false, "list the registry-derived system variants and exit")
 		maxCycles = flag.Uint64("max-cycles", 0, "cycle budget per run (0: config default)")
@@ -71,6 +68,15 @@ func run() int {
 	}
 	if _, err := core.Variant(*variant).Spec(); err != nil {
 		fmt.Fprintf(os.Stderr, "tsosim: %v\n", err)
+		return 2
+	}
+	cls := core.Class(strings.ToUpper(*class))
+	if err := cls.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "tsosim: %v\n", err)
+		return 2
+	}
+	if *cores < 1 || *scale < 1 {
+		fmt.Fprintf(os.Stderr, "tsosim: -cores and -scale must be at least 1 (got %d and %d)\n", *cores, *scale)
 		return 2
 	}
 
@@ -96,14 +102,9 @@ func run() int {
 		}
 	}
 
-	cfg := core.DefaultConfig(core.Class(strings.ToUpper(*class)), core.Variant(*variant))
+	cfg := core.DefaultConfig(cls, core.Variant(*variant))
 	cfg.Cores = *cores
 	cfg.Seed = *seed
-	cfg.Shards = *shards
-	fan, warn := runner.ClampParallelForShards(*parallel, *shards)
-	if warn != "" {
-		fmt.Fprintf(os.Stderr, "tsosim: %s\n", warn)
-	}
 	if *maxCycles > 0 {
 		cfg.MaxCycles = sim.Cycle(*maxCycles)
 	}
@@ -119,7 +120,7 @@ func run() int {
 	// Fan the independent simulations across workers; results land in
 	// per-workload slots so reports print in the order named.
 	results := make([]core.Results, len(ws))
-	err = runner.ForEach(context.Background(), fan, len(ws), func(_ context.Context, i int) error {
+	err = runner.ForEach(context.Background(), *parallel, len(ws), func(_ context.Context, i int) error {
 		_, res, err := workload.Run(ws[i], cfg, *scale)
 		if err != nil {
 			return fmt.Errorf("%s: %w", ws[i].Name, err)

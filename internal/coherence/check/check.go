@@ -17,7 +17,7 @@
 //     starved scheduler.
 //
 // States are materialized by deep-cloning the frontier (one clone per
-// transition) rather than replaying choice paths, expansion is sharded
+// transition) rather than replaying choice paths, expansion is split
 // across Workers with all cross-layer decisions resolved
 // deterministically at layer barriers, and two sound reductions are
 // available: Symmetry dedups states up to the model's automorphism
@@ -42,7 +42,7 @@ type Config struct {
 	// nothing about liveness; Result.Exhaustive reports whether the cap
 	// was hit.
 	MaxStates int
-	// Workers shards frontier expansion across goroutines (0 or 1 =
+	// Workers splits frontier expansion across goroutines (0 or 1 =
 	// serial). Results, including counterexamples, are byte-identical
 	// at any worker count.
 	Workers int

@@ -185,8 +185,8 @@ type PCU struct {
 }
 
 // NewPCU builds a private cache unit attached at endpoint id. port is
-// where outbound protocol messages go (the mesh itself, or a capture
-// port under the sharded kernel).
+// where outbound protocol messages go (the mesh itself, or the model
+// checker's message multiset).
 func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFunc, hooks CoreHooks, mode Mode) *PCU {
 	machine := pcuMachines[mode]
 	p := &PCU{
@@ -226,10 +226,6 @@ func (p *PCU) EventsDue(now sim.Cycle) bool {
 
 // NextEventCycle reports the cycle of the PCU's earliest deferred send.
 func (p *PCU) NextEventCycle() (sim.Cycle, bool) { return p.events.NextAt() }
-
-// SetPort redirects the PCU's outbound messages (the sharded kernel
-// interposes a capture port for the duration of a run).
-func (p *PCU) SetPort(port network.Port) { p.port = port }
 
 // Quiescent reports whether the PCU has no outstanding transactions.
 func (p *PCU) Quiescent() bool {

@@ -47,9 +47,19 @@ func CoreConfig(class Class) cpu.Config {
 	case HSW:
 		c.IQSize, c.ROBSize, c.LQSize, c.SQSize, c.SBSize = 60, 192, 72, 42, 42
 	default:
-		panic(fmt.Sprintf("core: unknown class %q", class))
+		panic(class.Validate())
 	}
 	return c
+}
+
+// Validate reports whether c names one of the Table 6 classes.
+func (c Class) Validate() error {
+	for _, k := range Classes {
+		if c == k {
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown class %q (want SLM, NHM or HSW)", c)
 }
 
 // Variant names one commit-policy × coherence-protocol pairing. The
@@ -123,14 +133,12 @@ type Config struct {
 	// equivalence.
 	CycleAccurate bool
 
-	// Shards > 1 runs the machine on that many worker goroutines,
-	// partitioning tiles (core + private cache + co-located LLC bank)
-	// into contiguous shards that advance independently within
-	// epoch-length windows bounded by the minimum cross-tile message
-	// latency, and synchronize at a deterministic cycle barrier (see
-	// internal/core/shard.go). Simulated outcomes are byte-identical to
-	// the sequential kernel at every shard count. Zero or one selects
-	// the sequential kernel.
+	// Shards is kept only so existing callers that pin it to 1 still
+	// build. The sharded kernel it once selected never beat the
+	// sequential loop and was removed (EXPERIMENTS.md E21); zero and one
+	// run the one simulation loop, and NewSystem rejects anything larger.
+	// Parallelism lives across simulations (runner, -parallel), never
+	// inside one.
 	Shards int
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"wbsim/internal/cpu"
+	"wbsim/internal/isa"
+	"wbsim/internal/sim"
 )
 
 // TestConfigTable6 pins the class presets to the paper's Table 6.
@@ -154,4 +156,36 @@ func TestNewSystemValidation(t *testing.T) {
 		}
 	}()
 	NewSystem(cfg, nil)
+}
+
+// TestShardsShim checks what is left of the removed sharded kernel:
+// Shards 0 and 1 both build and run the one simulation loop to the same
+// result, and anything larger is rejected with an error that says the
+// kernel is gone.
+func TestShardsShim(t *testing.T) {
+	build := func(shards int) *System {
+		rng := sim.NewRand(7)
+		cfg := SmallConfig(2, OoOWB)
+		cfg.Shards = shards
+		return NewSystem(cfg, []*isa.Program{randomProgram(rng, 0), randomProgram(rng, 1)})
+	}
+	var results [2]Results
+	for shards := range results {
+		sys := build(shards)
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("Shards=%d: %v", shards, err)
+		}
+		results[shards] = sys.Collect()
+		results[shards].Coverage = nil
+	}
+	if results[0] != results[1] {
+		t.Fatalf("Shards=0 and Shards=1 diverge:\n%+v\n%+v", results[0], results[1])
+	}
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !strings.Contains(err.Error(), "sharded kernel was removed") {
+			t.Fatalf("Shards=2: got panic %v, want an error naming the removal", err)
+		}
+	}()
+	build(2)
 }

@@ -17,9 +17,7 @@ import (
 // squash counter, same architectural registers — across commit variants,
 // fault plans, and random programs. The fast-forward is only allowed to
 // skip cycles it can prove are replays; any divergence here means it
-// skipped one it couldn't. The gate runs the same cross-check over the
-// sharded kernel at 1, 2, and 4 shards: every configuration must
-// reproduce the cycle-accurate sequential run exactly.
+// skipped one it couldn't.
 func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 	plans := []*faults.Plan{nil}
 	for _, p := range faults.Catalog() {
@@ -43,14 +41,13 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 				// skinny-cache shrinks the cache below what four random
 				// working sets can share (the machine legitimately runs out
 				// of eviction victims), so that plan keeps the historical
-				// two-core workload; Shards above the core count clamp, so
-				// the shard sweep below stays meaningful either way.
+				// two-core workload.
 				cores := 4
 				if name == "skinny-cache" {
 					cores = 2
 				}
 				t.Run(fmt.Sprintf("%v/%s/seed%d", v, name, seed), func(t *testing.T) {
-					run := func(accurate bool, shards int) (sim.Cycle, Results, [16]uint64) {
+					run := func(accurate bool) (sim.Cycle, Results, [16]uint64) {
 						rng := sim.NewRand(9000 + seed)
 						progs := make([]*isa.Program, cores)
 						for i := range progs {
@@ -60,11 +57,10 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 						cfg.Seed = seed
 						cfg.Faults = plan
 						cfg.CycleAccurate = accurate
-						cfg.Shards = shards
 						sys := NewSystem(cfg, progs)
 						cycles, err := sys.Run()
 						if err != nil {
-							t.Fatalf("accurate=%v shards=%d: %v", accurate, shards, err)
+							t.Fatalf("accurate=%v: %v", accurate, err)
 						}
 						var regs [16]uint64
 						for r := 1; r < 16; r++ {
@@ -74,31 +70,24 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 						}
 						return cycles, sys.Collect(), regs
 					}
-					accCycles, accRes, accRegs := run(true, 1)
-					check := func(label string, cycles sim.Cycle, res Results, regs [16]uint64) {
-						if cycles != accCycles {
-							t.Errorf("%s cycles: %d, cycle-accurate %d", label, cycles, accCycles)
-						}
-						// Transition fire counts must match exactly too; compare
-						// them first, then the scalar counters by value.
-						if !reflect.DeepEqual(res.Coverage, accRes.Coverage) {
-							t.Errorf("%s transition coverage diverges:\ngot:            %v\ncycle-accurate: %v",
-								label, res.Coverage, accRes.Coverage)
-						}
-						want := accRes
-						res.Coverage, want.Coverage = nil, nil
-						if res != want {
-							t.Errorf("%s results diverge:\ngot:            %+v\ncycle-accurate: %+v", label, res, want)
-						}
-						if regs != accRegs {
-							t.Errorf("%s: architectural registers diverge", label)
-						}
+					accCycles, accRes, accRegs := run(true)
+					cycles, res, regs := run(false)
+					if cycles != accCycles {
+						t.Errorf("idle-skip cycles: %d, cycle-accurate %d", cycles, accCycles)
 					}
-					c, r, g := run(false, 1)
-					check("idle-skip", c, r, g)
-					for _, shards := range []int{2, 4} {
-						c, r, g := run(false, shards)
-						check(fmt.Sprintf("shards=%d", shards), c, r, g)
+					// Transition fire counts must match exactly too; compare
+					// them first, then the scalar counters by value.
+					if !reflect.DeepEqual(res.Coverage, accRes.Coverage) {
+						t.Errorf("transition coverage diverges:\nidle-skip:      %v\ncycle-accurate: %v",
+							res.Coverage, accRes.Coverage)
+					}
+					want := accRes
+					res.Coverage, want.Coverage = nil, nil
+					if res != want {
+						t.Errorf("results diverge:\nidle-skip:      %+v\ncycle-accurate: %+v", res, want)
+					}
+					if regs != accRegs {
+						t.Error("architectural registers diverge")
 					}
 				})
 			}
@@ -120,32 +109,20 @@ func TestFastForwardObservesWatchdog(t *testing.T) {
 	b.BranchI(isa.FnEQ, 2, 0, loop)
 	b.Halt()
 
-	run := func(accurate bool, shards int) (sim.Cycle, string) {
+	run := func(accurate bool) (sim.Cycle, string) {
 		cfg := SmallConfig(2, OoOWB)
 		cfg.MaxCycles = 60000
 		cfg.CycleAccurate = accurate
-		cfg.Shards = shards
 		sys := NewSystem(cfg, []*isa.Program{b.Program(), b.Program()})
 		cycles, err := sys.Run()
 		if err == nil {
-			t.Fatalf("accurate=%v shards=%d: spin loop finished?", accurate, shards)
+			t.Fatalf("accurate=%v: spin loop finished?", accurate)
 		}
 		return cycles, err.Error()
 	}
-	accCycles, accErr := run(true, 1)
-	for _, cse := range []struct {
-		label    string
-		accurate bool
-		shards   int
-	}{
-		{"idle-skip", false, 1},
-		{"shards=2", false, 2},
-		{"shards=2 accurate", true, 2},
-	} {
-		cycles, errStr := run(cse.accurate, cse.shards)
-		if cycles != accCycles || errStr != accErr {
-			t.Errorf("hang detection diverges (%s):\ngot:            cycle %d, %s\ncycle-accurate: cycle %d, %s",
-				cse.label, cycles, errStr, accCycles, accErr)
-		}
+	accCycles, accErr := run(true)
+	if cycles, errStr := run(false); cycles != accCycles || errStr != accErr {
+		t.Errorf("hang detection diverges:\nidle-skip:      cycle %d, %s\ncycle-accurate: cycle %d, %s",
+			cycles, errStr, accCycles, accErr)
 	}
 }

@@ -28,11 +28,6 @@ type System struct {
 	// stepHook, when set (tests), runs at the top of every Step — used to
 	// inject panics and probe the recover boundary.
 	stepHook func(sim.Cycle)
-
-	// shardHook, when set (tests), runs at the top of every sharded
-	// worker cycle with the shard's first tile index — used to inject
-	// panics inside a worker goroutine and probe its recover chain.
-	shardHook func(firstTile int, now sim.Cycle)
 }
 
 // NewSystem builds a machine. programs must have exactly Cfg.Cores
@@ -40,6 +35,9 @@ type System struct {
 func NewSystem(cfg Config, programs []*isa.Program) *System {
 	if len(programs) != cfg.Cores {
 		panic(fmt.Sprintf("core: %d programs for %d cores", len(programs), cfg.Cores))
+	}
+	if cfg.Shards > 1 {
+		panic(fmt.Errorf("core: Shards=%d: the sharded kernel was removed; run simulations in parallel instead", cfg.Shards))
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 200_000_000
@@ -179,12 +177,6 @@ func (s *System) Done() bool {
 // (workload, config, seed) job fails alone instead of killing the
 // process running a fleet of them.
 func (s *System) Run() (cycles sim.Cycle, err error) {
-	// Shards > 1 selects the parallel kernel (internal/core/shard.go),
-	// which produces byte-identical results. stepHook (tests probing
-	// individual sequential cycles) forces the sequential path.
-	if s.Cfg.Shards > 1 && s.stepHook == nil {
-		return s.runSharded()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			cycles = s.Clock.Now()

@@ -31,11 +31,6 @@ type Options struct {
 	// MaxCycles overrides the per-run cycle budget when > 0, so a hang
 	// found by the chaos campaign reproduces quickly from the CLI.
 	MaxCycles sim.Cycle
-	// Shards runs each simulated machine on that many worker goroutines
-	// (core.Config.Shards). Tables are identical at any setting; pair
-	// with runner.ClampParallelForShards so the engine's fan-out times
-	// Shards does not oversubscribe the host.
-	Shards int
 }
 
 // DefaultOptions mirror the paper's 16-core runs.

@@ -102,11 +102,6 @@ type Options struct {
 	// Watchdog overrides the hang detector (tests set tiny bounds to
 	// induce trips on demand).
 	Watchdog faults.WatchdogConfig
-	// Shards runs each simulated machine on that many worker goroutines
-	// (core.Config.Shards). Outcomes are identical at any setting; pair
-	// with runner.ClampParallelForShards so Parallel × Shards does not
-	// oversubscribe the host.
-	Shards int
 }
 
 // DefaultOptions are suitable for CI tests.
@@ -164,7 +159,6 @@ func runSeed(t Test, variant core.Variant, seed uint64, opts Options) (out seedO
 	cfg.JitterMax = opts.Jitter
 	cfg.Faults = opts.Plan
 	cfg.Watchdog = opts.Watchdog
-	cfg.Shards = opts.Shards
 	if opts.MaxCycles > 0 {
 		cfg.MaxCycles = opts.MaxCycles
 	}

@@ -63,10 +63,13 @@ func (d *LineData) Set(a Addr, w Word) { d[WordIndex(a)] = w }
 // ever written are materialized; unwritten lines read as zero, matching
 // the zero-initialized memory the paper's litmus examples assume.
 //
-// Access is guarded by a mutex: under the sharded kernel, banks on
-// different shards touch memory concurrently. Every line is homed at
-// exactly one bank, so the values read and written stay deterministic —
-// the lock only protects the map structure itself.
+// Access is guarded by a mutex. A simulation touches its memory from
+// one goroutine, but the model checker's parallel frontier
+// (internal/coherence/check, Workers > 1) clones models, memory
+// included, on several worker goroutines at once. The lock keeps the
+// line map safe under those concurrent Clone/CloneInto calls and the
+// reads and writes around them; it orders nothing observable, so
+// results stay deterministic.
 type Memory struct {
 	mu    sync.Mutex
 	lines map[Line]*LineData

@@ -69,11 +69,6 @@ type Message struct {
 	seq     uint64
 }
 
-// Arrival reports the cycle the message lands at its destination. It is
-// meaningful only after Send has stamped the message (the sharded kernel
-// reads it when routing extracted deliveries to shards).
-func (m *Message) Arrival() sim.Cycle { return m.arrival }
-
 // Clone returns a copy of the message carrying payload in place of the
 // original's, preserving the routing stamps. The model checker uses it
 // to clone in-flight messages whose payloads it deep-copies itself.
@@ -101,9 +96,8 @@ type Receiver interface {
 }
 
 // Port accepts outbound messages from a component. The mesh itself is
-// the usual Port; the sharded kernel interposes capture ports that
-// buffer sends during an epoch and replay them into the mesh at the
-// epoch barrier in canonical order.
+// the usual Port; the model checker substitutes its own, which keeps
+// in-flight messages as an unordered multiset it explores.
 type Port interface {
 	Send(now sim.Cycle, msg *Message)
 }
@@ -208,10 +202,10 @@ type Mesh struct {
 
 	// drng is a dedicated stream for the PerturbDelivery fault, forked
 	// from rng at construction only when that fault is active. Keeping
-	// delivery-order draws off the injection stream (jitter, spikes) lets
-	// the sharded kernel perturb extracted batches centrally with exactly
-	// the draw sequence the sequential tick would have used, regardless
-	// of how sends interleave with deliveries.
+	// delivery-order draws off the injection stream (jitter, spikes)
+	// keeps them independent of how sends interleave with deliveries.
+	// Folding it back into rng would change every perturbed-delivery
+	// run, and with them the chaos goldens.
 	drng *sim.Rand
 
 	// Flat per-endpoint tables, grown by Attach. routerOf is -1 for ids
@@ -426,7 +420,7 @@ func (m *Mesh) tickPerturbed(now sim.Cycle) {
 		m.inFlight.pop()
 		m.batch = append(m.batch, msg)
 	}
-	m.OrderPerturbed(m.batch)
+	m.orderPerturbed(m.batch)
 	for i, msg := range m.batch {
 		m.deliver(now, msg)
 		m.batch[i] = nil
@@ -434,16 +428,14 @@ func (m *Mesh) tickPerturbed(now sim.Cycle) {
 	m.batch = m.batch[:0]
 }
 
-// OrderPerturbed reorders one same-cycle delivery batch in place under
+// orderPerturbed reorders one same-cycle delivery batch in place under
 // the PerturbDelivery fault (no-op when the fault is off). batch must be
 // in heap-pop (arrival, injection) order. Messages between the same
 // endpoint pair keep their relative order — each pair's bucket is
 // consumed front-first — so only the ordering freedom the mesh never
 // promised (between different pairs) is exercised. One drng.Intn is
-// drawn per delivery; because the draws come from the dedicated delivery
-// stream, the sequential tick and the sharded kernel's central
-// reordering of extracted batches consume identical sequences.
-func (m *Mesh) OrderPerturbed(batch []*Message) {
+// drawn per delivery.
+func (m *Mesh) orderPerturbed(batch []*Message) {
 	if !m.cfg.Faults.PerturbDelivery || len(batch) == 0 {
 		return
 	}
@@ -509,83 +501,6 @@ func (m *Mesh) deliver(now sim.Cycle, msg *Message) {
 		panic(fmt.Sprintf("network: message to unattached endpoint %d", msg.Dst))
 	}
 	m.recvOf[msg.Dst].Receive(now, msg)
-}
-
-// Deliver hands an extracted message to its endpoint's receiver. The
-// sharded kernel extracts an epoch's deliveries centrally
-// (ExtractDeliverable) and has each shard call Deliver for its own
-// endpoints at the message's arrival cycle; the sequential kernel never
-// needs it.
-func (m *Mesh) Deliver(now sim.Cycle, msg *Message) { m.deliver(now, msg) }
-
-// ExtractDeliverable pops every in-flight message arriving at or before
-// upto, appends them to buf, and returns the extended slice. Messages
-// come out in (arrival, injection) order — exactly the order sequential
-// Ticks would deliver them — with the PerturbDelivery fault already
-// applied within each same-arrival batch. Extracted messages are no
-// longer the mesh's responsibility: the caller must Deliver each at its
-// Arrival cycle.
-func (m *Mesh) ExtractDeliverable(upto sim.Cycle, buf []*Message) []*Message {
-	start := len(buf)
-	for len(m.inFlight.h) > 0 && m.inFlight.h[0].arrival <= upto {
-		msg := m.inFlight.h[0]
-		m.inFlight.pop()
-		buf = append(buf, msg)
-	}
-	if m.cfg.Faults.PerturbDelivery {
-		// Perturb per same-arrival batch, matching the per-cycle batches
-		// tickPerturbed sees sequentially (the mesh is ticked every cycle
-		// a delivery is due, so a sequential batch never spans cycles).
-		for i := start; i < len(buf); {
-			j := i + 1
-			for j < len(buf) && buf[j].arrival == buf[i].arrival {
-				j++
-			}
-			m.OrderPerturbed(buf[i:j])
-			i = j
-		}
-	}
-	return buf
-}
-
-// MinDeliveryDelta reports the minimum number of cycles between a Send
-// at cycle c and its delivery, over every attached endpoint pair: the
-// sharded kernel's epoch length. A message sent during an epoch of that
-// length can never arrive inside the same epoch, so shards may advance
-// an epoch independently once its incoming deliveries are known. Jitter,
-// fault spikes, and link contention only ever add latency, so the
-// uncontended path is a sound lower bound: LocalLatency for same-router
-// pairs, SwitchLatency per hop otherwise, plus the smallest message's
-// serialization flits.
-func (m *Mesh) MinDeliveryDelta() sim.Cycle {
-	minFlits := m.cfg.CtrlFlits
-	if m.cfg.DataFlits < minFlits {
-		minFlits = m.cfg.DataFlits
-	}
-	best := sim.Cycle(0)
-	for a, ra := range m.routerOf {
-		if ra == -1 {
-			continue
-		}
-		for b, rb := range m.routerOf {
-			if rb == -1 || a == b {
-				continue
-			}
-			hops := len(m.routes[ra*m.numRouters+rb])
-			d := sim.Cycle(hops * m.cfg.SwitchLatency)
-			if hops == 0 {
-				d = sim.Cycle(m.cfg.LocalLatency)
-			}
-			d += sim.Cycle(minFlits)
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-	}
-	if best < 1 {
-		best = 1
-	}
-	return best
 }
 
 // Quiescent reports whether no messages are in flight.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,45 +160,5 @@ func TestMemoRecomputesErrors(t *testing.T) {
 	}
 	if c := computed.Load(); c != 3 {
 		t.Fatalf("failed computation ran %d times, want 3 (errors are never cached)", c)
-	}
-}
-
-func TestClampParallelForShards(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-
-	// Sequential simulations are never clamped, and a non-positive
-	// parallel resolves to the default first.
-	if p, w := ClampParallelForShards(7, 1); p != 7 || w != "" {
-		t.Fatalf("shards=1: got (%d, %q), want (7, \"\")", p, w)
-	}
-	if p, w := ClampParallelForShards(0, 1); p != DefaultParallel() || w != "" {
-		t.Fatalf("parallel=0 shards=1: got (%d, %q), want (%d, \"\")", p, w, DefaultParallel())
-	}
-
-	// An oversubscribing fan-out is clamped to procs/shards (floor 1)
-	// with a warning; the warning is empty only when nothing changed.
-	p, w := ClampParallelForShards(procs*4, 2)
-	want := procs / 2
-	if want < 1 {
-		want = 1
-	}
-	if p != want {
-		t.Fatalf("ClampParallelForShards(%d, 2) = %d, want %d", procs*4, p, want)
-	}
-	if p < procs*4 && w == "" {
-		t.Fatalf("clamp from %d to %d produced no warning", procs*4, p)
-	}
-
-	// A fan-out that fits the machine is untouched and silent.
-	if procs >= 2 {
-		if p, w := ClampParallelForShards(1, 2); procs >= 2 && (p != 1 || w != "") {
-			t.Fatalf("fitting fan-out altered: got (%d, %q)", p, w)
-		}
-	}
-
-	// The clamp never drops below one worker, even when shards alone
-	// exceed the machine.
-	if p, _ := ClampParallelForShards(3, procs*8); p != 1 {
-		t.Fatalf("shards > procs: parallel = %d, want 1", p)
 	}
 }

@@ -5,10 +5,9 @@
 // The simulator is cycle driven. Every component implements Ticker and
 // is advanced once per cycle by the owning System in a fixed order,
 // which makes a whole run a pure function of (configuration, workload,
-// seed). The sharded kernel (internal/core/shard.go) partitions the
-// components across worker goroutines but preserves exactly that order
-// through its epoch barrier, so the pure-function property holds at
-// every shard count.
+// seed). A simulation runs on one goroutine; parallelism lives across
+// independent simulations (internal/runner), which share no mutable
+// state.
 package sim
 
 import "fmt"

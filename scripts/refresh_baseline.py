@@ -2,15 +2,13 @@
 """Re-record the refreshable sections of BENCH_baseline.json and
 BENCH_check.json.
 
-Runs the end-to-end throughput benchmark (sequential and sharded
-kernels) and the experiments-all wall-clock run on the current tree,
-then rewrites the corresponding entries of BENCH_baseline.json in
-place:
+Runs the end-to-end throughput benchmark and the experiments-all
+wall-clock run on the current tree, then rewrites the corresponding
+entries of BENCH_baseline.json in place:
 
-  benchmarks.BenchmarkSimulatorThroughput   per-shard ns/op, B/op,
-                                            allocs/op, sim-cycles/op and
-                                            the sim_cycles_per_sec
-                                            headline (shards=1)
+  benchmarks.BenchmarkSimulatorThroughput   ns/op, B/op, allocs/op,
+                                            sim-cycles/op and the
+                                            sim_cycles_per_sec headline
   benchmarks.BenchmarkDirDispatchProtocols  per-protocol dispatch rows —
                                             one per coherence-registry
                                             entry (base, base-ns, wb,
@@ -19,11 +17,6 @@ place:
                                             row on the next refresh with
                                             no script edits
   wall_clock.experiments_all_c4s1           real/user seconds
-
-by_shards entries are only recorded for shard counts the host can
-actually run in parallel (shards <= cpu count), and every entry is
-stamped with the recording host's CPU count — a shards=4 number from a
-1-vCPU box is measurement noise, not a baseline.
 
 With --check, re-records BENCH_check.json instead: every model-checker
 exploration config (states, wall, states/sec, peak RSS, reduction
@@ -61,7 +54,7 @@ import time
 BASELINE = "BENCH_baseline.json"
 CHECKFILE = "BENCH_check.json"
 BENCH_RE = re.compile(
-    r"^BenchmarkSimulatorThroughput/shards=(\d+)\S*\s+\d+\s+(\d+) ns/op"
+    r"^BenchmarkSimulatorThroughput\S*\s+\d+\s+(\d+) ns/op"
     r"\s+(\d+) sim-cycles/op\s+(\d+) sim-cycles/sec\s+(\d+) B/op\s+(\d+) allocs/op",
     re.M,
 )
@@ -82,29 +75,16 @@ def bench_throughput():
         "go", "test", "-count=1", "-run", "^$",
         "-bench", "SimulatorThroughput", "-benchtime", "3x", "-benchmem", ".",
     ]).stdout
-    cpus = os.cpu_count()
-    shards = {}
-    for m in BENCH_RE.finditer(out):
-        n = int(m.group(1))
-        if n > cpus:
-            # A shards=N time from a host with fewer than N CPUs measures
-            # goroutine context-switch overhead, not sharded throughput
-            # (the anomaly that made shards=4 read slower than shards=1
-            # in the original baseline). Refuse to record it.
-            print("refresh_baseline: skipping shards=%d (host has %d CPUs)"
-                  % (n, cpus), file=sys.stderr)
-            continue
-        shards["shards=" + str(n)] = {
-            "ns_per_op": int(m.group(2)),
-            "sim_cycles_per_op": int(m.group(3)),
-            "sim_cycles_per_sec": int(m.group(4)),
-            "bytes_per_op": int(m.group(5)),
-            "allocs_per_op": int(m.group(6)),
-            "cpus": cpus,
-        }
-    if "shards=1" not in shards:
-        sys.exit("refresh_baseline: no shards=1 result in benchmark output:\n" + out)
-    return shards
+    m = BENCH_RE.search(out)
+    if m is None:
+        sys.exit("refresh_baseline: no SimulatorThroughput result in benchmark output:\n" + out)
+    return {
+        "ns_per_op": int(m.group(1)),
+        "sim_cycles_per_op": int(m.group(2)),
+        "sim_cycles_per_sec": int(m.group(3)),
+        "bytes_per_op": int(m.group(4)),
+        "allocs_per_op": int(m.group(5)),
+    }
 
 
 def bench_dispatch_protocols(runs=3):
@@ -300,8 +280,7 @@ def main():
 
     today = datetime.date.today().isoformat()
     gover = run(["go", "env", "GOVERSION"]).stdout.strip()
-    shards = bench_throughput()
-    head = shards["shards=1"]
+    head = bench_throughput()
     # Per-protocol dispatch rows, keyed by registry name. Recorded next
     # to — never instead of — the frozen BenchmarkDirDispatch reference
     # that scripts/dirbench_gate.py measures regressions against.
@@ -323,7 +302,6 @@ def main():
         "sim_cycles_per_sec": head["sim_cycles_per_sec"],
         "bytes_per_op": head["bytes_per_op"],
         "allocs_per_op": head["allocs_per_op"],
-        "by_shards": shards,
     }
 
     if args.wall_clock:

@@ -126,11 +126,15 @@ type Config struct {
 	Watchdog faults.WatchdogConfig
 
 	// CycleAccurate disables the idle-skip fast-forward in Run, forcing
-	// every cycle to execute. Simulated outcomes are identical either
-	// way — the skip only elides provably inert cycles — so the flag
-	// exists as an escape hatch for instrumentation that samples the
-	// machine mid-flight, and for the determinism gate that proves the
-	// equivalence.
+	// every cycle to execute, and makes every core scan its ROB for
+	// commits on every cycle instead of only after a change to the
+	// commit decision's inputs — checking each scan the event-driven
+	// commit would have skipped, and panicking (contained by Run as a
+	// SimError) if it would have diverged. Simulated outcomes are
+	// identical either way — both skips only elide provably inert work —
+	// so the flag exists as an escape hatch for instrumentation that
+	// samples the machine mid-flight, and for the determinism gate that
+	// proves the equivalence.
 	CycleAccurate bool
 
 	// Shards is kept only so existing callers that pin it to 1 still

@@ -11,13 +11,15 @@ import (
 )
 
 // TestIdleSkipMatchesCycleAccurate is the determinism gate for the
-// event-driven kernel: running with the idle-skip fast-forward (the
-// default) must produce *exactly* the run that cycle-accurate stepping
-// produces — same final cycle, same Results down to every stall and
-// squash counter, same architectural registers — across commit variants,
-// fault plans, and random programs. The fast-forward is only allowed to
-// skip cycles it can prove are replays; any divergence here means it
-// skipped one it couldn't.
+// event-driven kernel: running with the idle-skip fast-forward and the
+// event-driven commit skip (the default) must produce *exactly* the run
+// that cycle-accurate stepping produces — same final cycle, same Results
+// down to every stall and squash counter, same architectural registers —
+// across every variant, fault plan, and random programs. Both skips may
+// only elide work they can prove is a replay; any divergence here means
+// one elided work it couldn't. The cycle-accurate run also checks every
+// commit scan the skip would have elided, so a missed commit input
+// fails it at the first cycle it matters (cpu.CommitSkipError).
 func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 	plans := []*faults.Plan{nil}
 	for _, p := range faults.Catalog() {
@@ -30,8 +32,7 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 		seeds = seeds[:1]
 	}
 
-	variants := []Variant{InOrderBase, InOrderWB, OoOBase, OoOWB, OoOUnsafe}
-	for _, v := range variants {
+	for _, v := range AllVariants() {
 		for _, plan := range plans {
 			for _, seed := range seeds {
 				name := "none"
@@ -124,5 +125,39 @@ func TestFastForwardObservesWatchdog(t *testing.T) {
 	if cycles, errStr := run(false); cycles != accCycles || errStr != accErr {
 		t.Errorf("hang detection diverges:\nidle-skip:      cycle %d, %s\ncycle-accurate: cycle %d, %s",
 			cycles, errStr, accCycles, accErr)
+	}
+}
+
+// TestCommitSkipWakesOnStoreAddress pins the one commit input the random
+// programs above rarely isolate: a store whose address resolves while its
+// data is still pending. Nothing completes or performs at that moment,
+// yet the younger instructions become committable (condition 4 clears),
+// so the address resolution itself must wake the commit scan. The
+// cycle-accurate run checks every elided scan and fails on a missed wake.
+func TestCommitSkipWakesOnStoreAddress(t *testing.T) {
+	b := isa.NewBuilder("store-addr")
+	b.MovImm(1, 0x10000)
+	b.Work(5, 1, 1, 40) // store data: long latency
+	b.Work(2, 1, 1, 3)  // store address
+	b.Work(8, 2, 2, 10) // competes with the store for issue
+	b.Store(2, 0, 5)
+	b.MovImm(6, 1) // can commit once the store's address is known
+	b.MovImm(7, 2)
+	b.Halt()
+	for _, v := range AllVariants() {
+		run := func(accurate bool) Results {
+			cfg := SmallConfig(1, v)
+			cfg.CycleAccurate = accurate
+			sys := NewSystem(cfg, []*isa.Program{b.Program()})
+			if _, err := sys.Run(); err != nil {
+				t.Fatalf("%v accurate=%v: %v", v, accurate, err)
+			}
+			res := sys.Collect()
+			res.Coverage = nil
+			return res
+		}
+		if res, acc := run(false), run(true); res != acc {
+			t.Errorf("%v: results diverge:\nevent-driven:   %+v\ncycle-accurate: %+v", v, res, acc)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"wbsim/internal/cpu"
 	"wbsim/internal/isa"
 	"wbsim/internal/mem"
 )
@@ -157,7 +158,10 @@ func TestOoOCommitHappens(t *testing.T) {
 }
 
 // TestLDTCapacityGates: with a 1-entry LDT, M-speculative commits are
-// throttled (LDT-full stalls appear) but correctness holds.
+// throttled (LDT-full stalls appear) but correctness holds. LDTFullStalls
+// is the one counter a fruitless commit scan bumps, so the event-driven
+// commit skip must replay it exactly: the run is repeated with
+// cycle-accurate stepping and must match.
 func TestLDTCapacityGates(t *testing.T) {
 	b := isa.NewBuilder("ldt")
 	b.MovImm(1, 0x10000)
@@ -173,17 +177,28 @@ func TestLDTCapacityGates(t *testing.T) {
 	b.BranchI(isa.FnNE, 10, 0, loop)
 	b.Halt()
 
-	cc := CoreConfig(SLM)
-	cc.LDTSize = 1
-	cfg := SmallConfig(1, OoOWB)
-	cfg.CoreOverride = &cc
-	OoOWB.Apply(&cc)
-	sys := NewSystem(cfg, []*isa.Program{b.Program()})
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
+	run := func(accurate bool) (Results, cpu.Stats) {
+		cc := CoreConfig(SLM)
+		cc.LDTSize = 1
+		cfg := SmallConfig(1, OoOWB)
+		cfg.CoreOverride = &cc
+		cfg.CycleAccurate = accurate
+		OoOWB.Apply(&cc)
+		sys := NewSystem(cfg, []*isa.Program{b.Program()})
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("accurate=%v: %v", accurate, err)
+		}
+		res := sys.Collect()
+		res.Coverage = nil
+		return res, sys.Cores[0].Stats
 	}
-	if sys.Cores[0].Stats.LDTFullStalls == 0 {
+	accRes, accStats := run(true)
+	res, stats := run(false)
+	if accStats.LDTFullStalls == 0 {
 		t.Fatal("1-entry LDT never filled")
+	}
+	if res != accRes || stats != accStats {
+		t.Errorf("skipped commit scans diverge:\nevent-driven:   %+v\ncycle-accurate: %+v", stats, accStats)
 	}
 }
 

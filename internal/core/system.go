@@ -83,6 +83,7 @@ func NewSystem(cfg Config, programs []*isa.Program) *System {
 	routers := mesh.Routers()
 	for i := 0; i < n; i++ {
 		c := cpu.NewCore(i, coreCfg, programs[i])
+		c.SetCycleAccurate(cfg.CycleAccurate)
 		p := coherence.NewPCU(network.Endpoint(i), mesh, &memParams, home, c, protoMode)
 		c.AttachPCU(p)
 		mesh.Attach(network.Endpoint(i), i%routers, p)

@@ -4,12 +4,62 @@ import (
 	"fmt"
 
 	"wbsim/internal/isa"
+	"wbsim/internal/sim"
 )
 
 // commit retires up to CommitWidth instructions according to the commit
-// policy. For out-of-order policies the ROB is scanned in program order
-// while prefix conditions (the Bell-Lipasti conditions that depend on
-// older instructions) are accumulated:
+// policy, returning how many it retired.
+//
+// Commit is event-driven: the ROB scan (scanCommit) is a pure function
+// of the ROB's completion, branch, store-address and load-performed
+// state, the LDT's free entries and the store buffer's occupancy, so a
+// scan that committed nothing gives the same answer until one of those
+// changes. Every site that changes one sets c.rescan; on any other cycle
+// commit skips the scan, commits nothing, and replays the one counter a
+// fruitless scan bumps (LDTFullStalls) by the last scan's delta. Under
+// cycle-accurate stepping the scan runs every cycle and a cycle the skip
+// would have elided is checked against it (CommitSkipError).
+func (c *Core) commit() int {
+	if !c.rescan && !c.checkSkip {
+		c.Stats.LDTFullStalls += c.idleLDTStalls
+		return 0
+	}
+	skippable := !c.rescan
+	committed, ldtStalls := c.scanCommit()
+	c.Stats.LDTFullStalls += ldtStalls
+	if skippable && (committed != 0 || ldtStalls != c.idleLDTStalls) {
+		panic(&CommitSkipError{Core: c.ID, Cycle: c.now, Committed: committed,
+			LDTStalls: ldtStalls, Replayed: c.idleLDTStalls})
+	}
+	// A scan that committed changed its own inputs (ROB, LQ, SB, LDT).
+	c.rescan = committed > 0
+	c.idleLDTStalls = ldtStalls
+	return committed
+}
+
+// CommitSkipError is the cycle-accurate oracle's report that a cycle on
+// which no input of the commit decision had changed — one the
+// event-driven skip would have elided — did something the skip would not
+// have replayed: it committed, or it counted a different number of
+// LDT-full stalls. It means a change site is missing a c.rescan.
+type CommitSkipError struct {
+	Core      int
+	Cycle     sim.Cycle
+	Committed int    // instructions the scan retired
+	LDTStalls uint64 // LDT-full stalls the scan counted
+	Replayed  uint64 // LDT-full stalls the skip would have credited
+}
+
+func (e *CommitSkipError) Error() string {
+	return fmt.Sprintf("cpu %d: commit skip diverges at cycle %d: scan committed %d with %d LDT-full stalls, skip would replay 0 and %d",
+		e.Core, e.Cycle, e.Committed, e.LDTStalls, e.Replayed)
+}
+
+// scanCommit walks the ROB once, retiring what the policy allows, and
+// returns the number retired and the LDT-full stalls it met. For
+// out-of-order policies the ROB is scanned in program order while prefix
+// conditions (the Bell-Lipasti conditions that depend on older
+// instructions) are accumulated:
 //
 //  1. completed                          — per instruction
 //  2. register WAR hazards resolved      — structural in this model:
@@ -19,8 +69,7 @@ import (
 //  4. older store addresses resolved     — storesOK
 //  5. no older instruction will raise an exception — the ISA has none
 //  6. consistency: older loads performed — loadsOK (relaxed by ooo-wb)
-func (c *Core) commit() int {
-	committed := 0
+func (c *Core) scanCommit() (committed int, ldtStalls uint64) {
 	branchesOK := true
 	storesOK := true
 	loadsOK := true
@@ -30,7 +79,8 @@ func (c *Core) commit() int {
 	for i := c.robHead; i < len(c.rob) && committed < c.cfg.CommitWidth; {
 		d := c.rob[i]
 		head := i == c.robHead
-		if c.canCommit(d, head, branchesOK, storesOK, loadsOK, atomicsOK, olderStorePending) {
+		ok, ldtFull := c.canCommit(d, head, branchesOK, storesOK, loadsOK, atomicsOK, olderStorePending)
+		if ok {
 			c.commitOne(d, head)
 			if head {
 				// Head retirement (the overwhelmingly common case) just
@@ -43,6 +93,9 @@ func (c *Core) commit() int {
 			}
 			committed++
 			continue
+		}
+		if ldtFull {
+			ldtStalls++
 		}
 		if c.cfg.CommitMode == CommitInOrder {
 			break
@@ -67,8 +120,13 @@ func (c *Core) commit() int {
 			}
 		}
 		// Conditions 3 and 4 gate every younger instruction: once either
-		// fails nothing further can commit this cycle.
-		if !branchesOK || !storesOK {
+		// fails nothing further can commit this cycle. So does the
+		// policy's own barrier — condition 6 for safe commit, a pending
+		// atomic for ooo-wb — and canCommit refuses past it before
+		// reaching the LDT check, so stopping here changes no counter.
+		if !branchesOK || !storesOK ||
+			c.cfg.CommitMode == CommitOoOSafe && !loadsOK ||
+			c.cfg.CommitMode == CommitOoOWB && !atomicsOK {
 			break
 		}
 		i++
@@ -78,39 +136,41 @@ func (c *Core) commit() int {
 		c.robHead = 0
 	}
 	c.Stats.Committed += uint64(committed)
-	return committed
+	return committed, ldtStalls
 }
 
 // canCommit applies the policy to one instruction given the prefix flags.
-func (c *Core) canCommit(d *DynInstr, head, branchesOK, storesOK, loadsOK, atomicsOK, olderStorePending bool) bool {
+// It is a pure predicate; ldtFull reports a refusal due only to a full
+// LDT, which the caller counts as an LDT-full stall.
+func (c *Core) canCommit(d *DynInstr, head, branchesOK, storesOK, loadsOK, atomicsOK, olderStorePending bool) (ok, ldtFull bool) {
 	if d.state != stCompleted {
-		return false
+		return false, false
 	}
 	if c.cfg.CommitMode == CommitInOrder {
 		if !head {
-			return false
+			return false, false
 		}
 		if d.op == isa.OpStore && c.sbLen() >= c.cfg.SBSize {
-			return false
+			return false, false
 		}
-		return true
+		return true, false
 	}
 	if !branchesOK || !storesOK {
-		return false
+		return false, false
 	}
 	//wbsim:partial -- the default applies condition 6 uniformly to every other op class
 	switch d.op {
 	case isa.OpHalt:
-		return head
+		return head, false
 	case isa.OpStore:
 		// Stores enter the FIFO SB in program order, and only once all
 		// prior loads are ordered (load->store order is not relaxed).
-		return !olderStorePending && loadsOK && c.sbLen() < c.cfg.SBSize
+		return !olderStorePending && loadsOK && c.sbLen() < c.cfg.SBSize, false
 	case isa.OpAtomic:
-		return head // atomics perform at the head anyway
+		return head, false // atomics perform at the head anyway
 	case isa.OpLoad:
 		if loadsOK {
-			return true
+			return true, false
 		}
 		//wbsim:partial -- in-order returned above; squash-based safe mode must not commit past unperformed loads
 		switch c.cfg.CommitMode {
@@ -121,17 +181,16 @@ func (c *Core) canCommit(d *DynInstr, head, branchesOK, storesOK, loadsOK, atomi
 			// a pending atomic remain squashable (Section 3.7) and may
 			// not commit.
 			if !atomicsOK {
-				return false
+				return false, false
 			}
 			if d.lq.fwdSeq != 0 || c.ldtFree() {
-				return true
+				return true, false
 			}
-			c.Stats.LDTFullStalls++
-			return false
+			return false, true
 		case CommitOoOUnsafe:
-			return true // demonstrably wrong over the base protocol
+			return true, false // demonstrably wrong over the base protocol
 		default:
-			return false
+			return false, false
 		}
 	default:
 		// Condition 6 gates *every* instruction type in squash-based
@@ -142,9 +201,9 @@ func (c *Core) canCommit(d *DynInstr, head, branchesOK, storesOK, loadsOK, atomi
 		// younger instructions past non-performed older loads — except
 		// past a pending atomic, whose younger loads stay squashable.
 		if c.cfg.CommitMode == CommitOoOWB {
-			return atomicsOK
+			return atomicsOK, false
 		}
-		return loadsOK
+		return loadsOK, false
 	}
 }
 

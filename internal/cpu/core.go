@@ -79,6 +79,15 @@ type Core struct {
 	recurOK   bool
 	stallKind uint8
 
+	// Event-driven commit (see commit). rescan is set by every change to
+	// an input of the commit decision and cleared by a scan that commits
+	// nothing; idleLDTStalls is the LDT-full stall count of that scan,
+	// replayed on each skipped cycle. checkSkip (cycle-accurate stepping)
+	// scans every cycle and checks the cycles the skip would elide.
+	rescan        bool
+	idleLDTStalls uint64
+	checkSkip     bool
+
 	Stats Stats
 	now   sim.Cycle
 
@@ -97,9 +106,16 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 		tokens:  make(map[uint64]*lqEntry),
 		ldt:     make([]ldtEntry, cfg.LDTSize),
 		nextSeq: 1, // seq 0 reserved (fwdSeq sentinel)
+		rescan:  true,
 	}
 	return c
 }
+
+// SetCycleAccurate makes commit scan the ROB on every cycle instead of
+// only after a change to one of its inputs, and panic with a
+// *CommitSkipError on any cycle where the skip would have diverged from
+// that scan. Simulated outcomes are identical either way.
+func (c *Core) SetCycleAccurate(on bool) { c.checkSkip = on }
 
 // AttachPCU wires the private cache unit (built after the core because
 // the PCU needs the core as its hooks receiver).
@@ -140,9 +156,10 @@ func (c *Core) Tick(now sim.Cycle) {
 
 	// Quiet-done fast path: a halted core with every structure drained.
 	// Walking the full pipeline on such a core is provably equivalent to
-	// bumping the cycle counter (commit scans an empty ROB, the memory
-	// loops iterate empty queues, fetch returns immediately on halted),
-	// so do just that.
+	// bumping the cycle counter (commit has nothing to retire and, with
+	// no ROB entries, no LDT stall to replay; the memory loops iterate
+	// empty queues; fetch returns immediately on halted), so do just
+	// that.
 	if c.halted && c.robLen() == 0 && len(c.lq) == 0 && len(c.sq) == 0 &&
 		c.sbLen() == 0 && c.readyLen() == 0 && len(c.seenLines) == 0 &&
 		c.events.empty() {
@@ -520,6 +537,7 @@ func (c *Core) execute(d *DynInstr) {
 		c.events.after(c.now, 1, evComplete, d, 0)
 	case isa.OpJump:
 		d.resolved = true
+		c.rescan = true
 		c.events.after(c.now, 1, evComplete, d, 0)
 	case isa.OpALU:
 		lat := c.cfg.ALULatency
@@ -544,6 +562,7 @@ func (c *Core) execute(d *DynInstr) {
 		d.sq.addr = mem.AlignWord(mem.Addr(d.src1Val + d.si.Imm))
 		d.sq.line = mem.LineOf(d.sq.addr)
 		d.sq.addrValid = true
+		c.rescan = true
 		c.memDepCheck(d.sq)
 		if !d.sq.prefetched {
 			d.sq.prefetched = true
@@ -574,6 +593,7 @@ func (c *Core) complete(d *DynInstr, result mem.Word) {
 		return
 	}
 	d.state = stCompleted
+	c.rescan = true
 	d.result = result
 	d.hasResult = true
 	waiters := d.waiters
@@ -595,6 +615,7 @@ func (c *Core) resolveBranch(d *DynInstr) {
 	}
 	taken := isa.EvalCond(d.si.Fn, d.src1Val, b)
 	d.resolved = true
+	c.rescan = true
 	c.pred.Train(d.pc, d.histAt, taken)
 	c.complete(d, 0)
 	if taken != d.predTaken {
@@ -647,6 +668,7 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 		}
 	}
 	c.rob = c.rob[:idx]
+	c.rescan = true
 	if len(c.rob) == c.robHead {
 		c.rob = c.rob[:0]
 		c.robHead = 0

@@ -170,6 +170,7 @@ func (c *Core) releaseMask(mask uint64) {
 		if mask&(1<<uint(i)) != 0 {
 			mask &^= 1 << uint(i)
 			c.ldt[i].valid = false
+			c.rescan = true
 		}
 	}
 	c.resolveLockdowns()
@@ -360,6 +361,7 @@ func (c *Core) performLoad(e *lqEntry, value mem.Word, fwdSeq uint64, wake sim.C
 		panic(fmt.Sprintf("cpu %d: double perform of %v", c.ID, e.d))
 	}
 	e.performed = true
+	c.rescan = true
 	e.issued = false
 	e.value = value
 	e.fwdSeq = fwdSeq
@@ -404,6 +406,7 @@ func (c *Core) drainSB() {
 	head := c.sb[c.sbHead]
 	if c.pcu.StoreWrite(c.now, head.addr, head.value) {
 		c.sbHead++
+		c.rescan = true
 		// Rewind the ring when drained so the backing array is reused.
 		if c.sbHead == len(c.sb) {
 			c.sb = c.sb[:0]

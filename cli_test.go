@@ -17,7 +17,7 @@ import (
 func TestMalformedFlagsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, name := range []string{"tsosim", "litmus", "experiments"} {
+	for _, name := range []string{"tsosim", "litmus", "experiments", "wbsimcheck"} {
 		bins[name] = buildTool(t, dir, name)
 	}
 	for _, c := range []struct {
@@ -34,6 +34,10 @@ func TestMalformedFlagsExitTwo(t *testing.T) {
 		{"experiments", []string{"-cores", "-1", "fig9"}},
 		{"experiments", []string{"-scale", "0", "fig9"}},
 		{"experiments", []string{"-chaos-seeds", "0", "chaos"}},
+		{"wbsimcheck", []string{"-mode", "nope"}},
+		{"wbsimcheck", []string{"-max-states", "-5"}},
+		{"wbsimcheck", []string{"-mode", "lockdown", "-lockdowns", "-1"}},
+		{"wbsimcheck", []string{"-mode", "squash", "-lockdowns", "1"}},
 	} {
 		t.Run(c.tool+" "+strings.Join(c.args, " "), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -123,6 +123,16 @@ func mainExit() int {
 		fmt.Fprintln(os.Stderr, "wbsimcheck: -cores, -banks, -lines, -ops must be positive")
 		return 2
 	}
+	if *maxStates < 0 {
+		fmt.Fprintf(os.Stderr, "wbsimcheck: -max-states must be 0 (unlimited) or positive, got %d\n", *maxStates)
+		return 2
+	}
+	// The model spends the lockdown budget only in lockdown mode; a
+	// budget anywhere else would be silently ignored.
+	if *lockdowns < 0 || (*lockdowns > 0 && m != coherence.ModeLockdown) {
+		fmt.Fprintf(os.Stderr, "wbsimcheck: -lockdowns %d: want 0, or a positive budget with -mode lockdown\n", *lockdowns)
+		return 2
+	}
 
 	ccfg := check.Config{Model: mcfg, MaxStates: *maxStates, Workers: *workers}
 	for _, r := range strings.Split(*reduce, ",") {

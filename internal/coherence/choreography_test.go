@@ -41,10 +41,10 @@ func newTracedRig(t *testing.T) (*rig, *[]string) {
 	routers := mesh.Routers()
 	for i := 0; i < n; i++ {
 		fc := newFakeCore()
-		p := NewPCU(network.Endpoint(i), mesh, &params, home, fc, ModeLockdown)
+		p := NewPCU(network.Endpoint(i), mesh, &params, home, fc, ProtoWB)
 		fc.pcu = p
 		mesh.Attach(network.Endpoint(i), i%routers, &recorder{name: fmt.Sprintf("core%d", i), inner: p, log: log})
-		b := NewBank(network.Endpoint(n+i), mesh, &params, memory, ModeLockdown)
+		b := NewBank(network.Endpoint(n+i), mesh, &params, memory, ProtoWB)
 		mesh.Attach(network.Endpoint(n+i), i%routers, &recorder{name: fmt.Sprintf("bank%d", i), inner: b, log: log})
 		r.cores = append(r.cores, fc)
 		r.pcus = append(r.pcus, p)

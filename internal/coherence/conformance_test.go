@@ -28,7 +28,7 @@ func TestConformanceDetectsDrift(t *testing.T) {
 	bank := network.Endpoint(9)
 	newRec := func() (*ConfChecker, *confMachine) {
 		ck := NewConfChecker(func(ep network.Endpoint) bool { return ep == bank })
-		return ck, ck.newConfMachine(dirMachines[dirFlavorBase], bankConfAllowance())
+		return ck, ck.newConfMachine(ProtoBase.dir, bankConfAllowance())
 	}
 	expect := func(t *testing.T, ck *ConfChecker, frag string) {
 		t.Helper()

@@ -8,13 +8,14 @@ import (
 )
 
 // CoverageAgg accumulates transition fire counts across controllers and
-// runs, keyed by machine identity: one slot per directory flavor and one
-// per PCU mode. Slots stay nil until a controller running that machine
-// is observed, so a squash-only campaign reports nothing about the
-// lockdown tables instead of reporting them uncovered.
+// runs, keyed by composed machine. A machine's slot stays nil until a
+// controller running it is observed, so a squash-only campaign reports
+// nothing about the lockdown tables instead of reporting them uncovered.
+// Only registered machines are reported; the model checker's altered
+// tables never reach an aggregate.
 type CoverageAgg struct {
-	dir [numDirFlavors][]uint64
-	pcu [numModes][]uint64 // indexed by Mode
+	dir map[*table.Machine[dirAction]][]uint64
+	pcu map[*table.Machine[pcuAction]][]uint64
 
 	// conf collects effects-conformance violations from instrumented
 	// controllers (the exercise benches attach recorders; see
@@ -24,20 +25,30 @@ type CoverageAgg struct {
 }
 
 // NewCoverageAgg returns an empty aggregate.
-func NewCoverageAgg() *CoverageAgg { return &CoverageAgg{} }
+func NewCoverageAgg() *CoverageAgg {
+	return &CoverageAgg{
+		dir: make(map[*table.Machine[dirAction]][]uint64),
+		pcu: make(map[*table.Machine[pcuAction]][]uint64),
+	}
+}
 
-func mergeCov(dst *[]uint64, src []uint64) {
-	if *dst == nil {
-		*dst = make([]uint64, len(src))
+func mergeCov[K comparable](dst map[K][]uint64, k K, src []uint64) {
+	if src == nil {
+		return
+	}
+	acc := dst[k]
+	if acc == nil {
+		acc = make([]uint64, len(src))
+		dst[k] = acc
 	}
 	for i, v := range src {
-		(*dst)[i] += v
+		acc[i] += v
 	}
 }
 
 // AddBank folds one directory bank's fire counts into the aggregate.
 func (a *CoverageAgg) AddBank(b *Bank) {
-	mergeCov(&a.dir[b.flavor], b.cov)
+	mergeCov(a.dir, b.machine, b.cov)
 	if b.conf != nil {
 		a.conf = append(a.conf, b.conf.ck.violations...)
 	}
@@ -45,7 +56,7 @@ func (a *CoverageAgg) AddBank(b *Bank) {
 
 // AddPCU folds one core controller's fire counts into the aggregate.
 func (a *CoverageAgg) AddPCU(p *PCU) {
-	mergeCov(&a.pcu[p.mode], p.cov)
+	mergeCov(a.pcu, p.machine, p.cov)
 	if p.conf != nil {
 		a.conf = append(a.conf, p.conf.ck.violations...)
 	}
@@ -61,49 +72,33 @@ func (a *CoverageAgg) Merge(o *CoverageAgg) {
 	if o == nil {
 		return
 	}
-	for f, cov := range o.dir {
-		if cov != nil {
-			mergeCov(&a.dir[f], cov)
-		}
+	for _, p := range dirOwners() {
+		mergeCov(a.dir, p.dir, o.dir[p.dir])
 	}
-	for m, cov := range o.pcu {
-		if cov != nil {
-			mergeCov(&a.pcu[m], cov)
-		}
+	for _, p := range pcuOwners() {
+		mergeCov(a.pcu, p.pcu, o.pcu[p.pcu])
 	}
 	a.conf = append(a.conf, o.conf...)
 }
 
 // Empty reports whether no controller has been observed.
 func (a *CoverageAgg) Empty() bool {
-	if a == nil {
-		return true
-	}
-	for _, cov := range a.dir {
-		if cov != nil {
-			return false
-		}
-	}
-	for _, cov := range a.pcu {
-		if cov != nil {
-			return false
-		}
-	}
-	return true
+	return a == nil || len(a.dir)+len(a.pcu) == 0
 }
 
 // Reports returns one coverage report per observed machine, in a fixed
-// order (directory flavors, then PCU modes).
+// order (directory machines, then PCU machines, each in registration
+// order).
 func (a *CoverageAgg) Reports() []table.Report {
 	var out []table.Report
-	for f, cov := range a.dir {
-		if cov != nil {
-			out = append(out, dirMachines[f].Report(cov))
+	for _, p := range dirOwners() {
+		if cov := a.dir[p.dir]; cov != nil {
+			out = append(out, p.dir.Report(cov))
 		}
 	}
-	for m, cov := range a.pcu {
-		if cov != nil {
-			out = append(out, pcuMachines[m].Report(cov))
+	for _, p := range pcuOwners() {
+		if cov := a.pcu[p.pcu]; cov != nil {
+			out = append(out, p.pcu.Report(cov))
 		}
 	}
 	return out

@@ -168,7 +168,6 @@ type Bank struct {
 	// machine is the composed transition table the bank dispatches on;
 	// cov counts row firings for the -coverage report; trace, when set,
 	// observes every (state, event) firing (tests).
-	flavor  dirFlavor
 	machine *table.Machine[dirAction]
 	cov     []uint64
 	trace   func(dirState, dirEvent)
@@ -182,11 +181,10 @@ type Bank struct {
 // NewBank builds an LLC bank/directory slice attached to the network at
 // the given endpoint. port is where outbound protocol messages go (the
 // mesh itself, or the model checker's message multiset); memory is the
-// (shared) backing store; mode selects the WritersBlock protocol delta
-// (the bank must match its cores).
-func NewBank(id network.Endpoint, port network.Port, params *Params, memory *mem.Memory, mode Mode) *Bank {
-	flavor := dirFlavorFor(mode, params.NonSilentSharedEvictions)
-	machine := dirMachines[flavor]
+// (shared) backing store; proto supplies the composed directory machine
+// (the bank must run the same protocol as its cores).
+func NewBank(id network.Endpoint, port network.Port, params *Params, memory *mem.Memory, proto *Protocol) *Bank {
+	machine := proto.dir
 	return &Bank{
 		id:           id,
 		port:         port,
@@ -196,7 +194,6 @@ func NewBank(id network.Endpoint, port network.Port, params *Params, memory *mem
 		lines:        make(map[mem.Line]*dirLine),
 		evbuf:        make(map[mem.Line]*dirLine),
 		earlyDelayed: make(map[mem.Line]int),
-		flavor:       flavor,
 		machine:      machine,
 		cov:          machine.NewCoverage(),
 	}

@@ -152,40 +152,6 @@ func dirEventOf(t MsgType) dirEvent {
 // for the message's line (nil in NoEntry rows).
 type dirAction func(b *Bank, dl *dirLine, m *Msg)
 
-// dirFlavor selects which composed machine a bank runs: the WritersBlock
-// delta is layered in under lockdown cores, the non-silent-eviction delta
-// when PutSh traffic exists, and a small glue delta for their overlap.
-type dirFlavor int
-
-const (
-	dirFlavorBase dirFlavor = iota
-	dirFlavorBaseNS
-	dirFlavorWB
-	dirFlavorWBNS
-	dirFlavorTardis
-	numDirFlavors
-)
-
-// dirFlavorFor picks the machine flavor from the protocol mode and the
-// eviction-notification parameter. Tardis forbids non-silent shared
-// evictions (registry-validated): a leased copy leaves by expiring, so
-// there is no list to leave and PutSh never exists.
-func dirFlavorFor(mode Mode, nonSilent bool) dirFlavor {
-	if mode == ModeTardis {
-		return dirFlavorTardis
-	}
-	if mode == ModeLockdown {
-		if nonSilent {
-			return dirFlavorWBNS
-		}
-		return dirFlavorWB
-	}
-	if nonSilent {
-		return dirFlavorBaseNS
-	}
-	return dirFlavorBase
-}
-
 // Row constructors: handled, nacked (refusal with a reason), impossible.
 func dh(s dirState, e dirEvent, do dirAction) table.Row[dirAction] {
 	return table.Row[dirAction]{State: int(s), Event: int(e), Kind: table.Handled, Do: do}
@@ -584,18 +550,6 @@ func dirPreFixDelta() table.Delta[dirAction] {
 		},
 	}
 }
-
-// dirMachines holds the composed directory machines, built (and
-// completeness-checked) at package init.
-var dirMachines = func() [numDirFlavors]*table.Machine[dirAction] {
-	var ms [numDirFlavors]*table.Machine[dirAction]
-	ms[dirFlavorBase] = table.MustBuild(dirBaseSpec())
-	ms[dirFlavorBaseNS] = table.MustBuild(dirBaseSpec(), dirNSDelta())
-	ms[dirFlavorWB] = table.MustBuild(dirBaseSpec(), dirWBDelta())
-	ms[dirFlavorWBNS] = table.MustBuild(dirBaseSpec(), dirWBDelta(), dirNSDelta(), dirWBNSDelta())
-	ms[dirFlavorTardis] = table.MustBuild(dirBaseSpec(), dirTardisDelta())
-	return ms
-}()
 
 // ---------------------------------------------------------------------
 // Actions. Each is a verbatim port of one branch of the old per-message

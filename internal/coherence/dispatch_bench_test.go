@@ -60,9 +60,7 @@ func benchDispatchPingPong(b *testing.B, r *rig) {
 func BenchmarkDirDispatchProtocols(b *testing.B) {
 	for _, proto := range Protocols() {
 		b.Run(proto.Name, func(b *testing.B) {
-			params := testParams()
-			params.NonSilentSharedEvictions = proto.NonSilent
-			benchDispatchPingPong(b, newRigMode(b, 4, params, proto.Mode))
+			benchDispatchPingPong(b, newRigProto(b, 4, testParams(), proto))
 		})
 	}
 }

@@ -18,6 +18,7 @@ package coherence
 
 import (
 	"wbsim/internal/cache"
+	"wbsim/internal/coherence/table"
 	"wbsim/internal/mem"
 	"wbsim/internal/network"
 	"wbsim/internal/sim"
@@ -103,7 +104,7 @@ const exStep = 250
 // newDirBench builds a bench with one real directory bank (endpoint 3)
 // and three scripted cores (endpoints 0..2). The LLC is direct-mapped
 // and tiny so scenarios can force directory evictions.
-func newDirBench(mode Mode) *exBench {
+func newDirBench(proto *Protocol) *exBench {
 	params := DefaultParams()
 	params.LLCLines = 4
 	params.LLCWays = 1
@@ -117,7 +118,7 @@ func newDirBench(mode Mode) *exBench {
 		x.mesh.Attach(p.id, i%routers, p)
 		x.peers = append(x.peers, p)
 	}
-	x.bank = NewBank(network.Endpoint(4), x.mesh, &x.params, mem.NewMemory(), mode)
+	x.bank = NewBank(network.Endpoint(4), x.mesh, &x.params, mem.NewMemory(), proto)
 	x.mesh.Attach(x.bank.id, 4%routers, x.bank)
 	bankEP := x.bank.id
 	x.bank.EnableConformance(NewConfChecker(func(ep network.Endpoint) bool { return ep == bankEP }))
@@ -168,12 +169,12 @@ func (x *exBench) evictLine(c int, line mem.Line) *Msg {
 // exerciseDirStalePuts replays the stale-Put races of the PutOwned
 // audit rows: a Put arriving after the directory entry moved on. Each
 // race gets a fresh bench.
-func exerciseDirStalePuts(mode Mode, agg *CoverageAgg) {
+func exerciseDirStalePuts(proto *Protocol, agg *CoverageAgg) {
 	line := mem.Line(0x40)
 
 	// (NoEntry, PutOwned): the entry was never allocated (or already
 	// dropped by a directory eviction) when the Put arrives.
-	x := newDirBench(mode)
+	x := newDirBench(proto)
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutM, Line: line, Requester: x.peers[0].id, HasData: true})
 	x.await(0, MsgPutAck, line)
 	agg.AddBank(x.bank)
@@ -181,7 +182,7 @@ func exerciseDirStalePuts(mode Mode, agg *CoverageAgg) {
 	// (Fetch, PutOwned): a fetch for another core's read is in flight
 	// when the Put lands (the entry was evicted and refetched while the
 	// Put travelled).
-	x = newDirBench(mode)
+	x = newDirBench(proto)
 	x.peers[1].send(x.bankEP(), &Msg{Type: MsgGetS, Line: line, Requester: x.peers[1].id})
 	x.run(25) // delivered and allocated, but MemLatency not yet elapsed
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutM, Line: line, Requester: x.peers[0].id, HasData: true})
@@ -190,7 +191,7 @@ func exerciseDirStalePuts(mode Mode, agg *CoverageAgg) {
 
 	// (E, PutOwned) accepted, then (I, PutOwned): a duplicate Put for
 	// ownership already returned.
-	x = newDirBench(mode)
+	x = newDirBench(proto)
 	x.acquireE(0, line)
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutE, Line: line, Requester: x.peers[0].id})
 	x.await(0, MsgPutAck, line)
@@ -199,11 +200,11 @@ func exerciseDirStalePuts(mode Mode, agg *CoverageAgg) {
 	agg.AddBank(x.bank)
 
 	// (S, PutOwned): the owner's Put lost a race with the read
-	// downgrade that already rebuilt the entry as Shared. Tardis kills
-	// the Shared state; the equivalent race lands in TsShared and is
-	// exercised by exerciseTardisDir.
-	if mode != ModeTardis {
-		x = newDirBench(mode)
+	// downgrade that already rebuilt the entry as Shared. A stack that
+	// kills the Shared state (tardis) has no such row; its equivalent
+	// race lands in TsShared and is exercised by exerciseTardisDir.
+	if proto.dir.RowKind(int(dirStShared), int(dirEvPutOwned)) != table.Impossible {
+		x = newDirBench(proto)
 		x.shareLine(0, 1, line)
 		x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutM, Line: line, Requester: x.peers[0].id, HasData: true})
 		x.run(exStep)
@@ -212,7 +213,7 @@ func exerciseDirStalePuts(mode Mode, agg *CoverageAgg) {
 
 	// (BusyEv, PutOwned) then (BusyEv, InvAck): the owner's Put crosses
 	// the eviction invalidation on the unordered network.
-	x = newDirBench(mode)
+	x = newDirBench(proto)
 	x.acquireE(0, line)
 	x.evictLine(0, line)
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutM, Line: line, Requester: x.peers[0].id, HasData: true})
@@ -231,7 +232,7 @@ func exerciseDirEvictionWB(agg *CoverageAgg) {
 	// Owned-line eviction nacked: (BusyEv, Nack) parks the entry in
 	// WBEv, where reads tear off, writes queue with a hint, a stale Put
 	// is refused, and the DelayedAck finishes the eviction.
-	x := newDirBench(ModeLockdown)
+	x := newDirBench(ProtoWB)
 	data := x.acquireE(0, line)
 	x.evictLine(0, line)
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgNack, Line: line, Requester: x.peers[0].id, Data: data, HasData: true})
@@ -248,7 +249,7 @@ func exerciseDirEvictionWB(agg *CoverageAgg) {
 
 	// Shared-line eviction where both sharers nack: the second Nack
 	// lands in WBEv; both DelayedAcks must arrive to finish.
-	x = newDirBench(ModeLockdown)
+	x = newDirBench(ProtoWB)
 	x.shareLine(0, 1, line)
 	x.evictLine(0, line)
 	x.await(1, MsgInv, line)
@@ -263,7 +264,7 @@ func exerciseDirEvictionWB(agg *CoverageAgg) {
 
 	// Shared-line eviction where one sharer nacks and the other acks:
 	// the InvAck lands in WBEv.
-	x = newDirBench(ModeLockdown)
+	x = newDirBench(ProtoWB)
 	x.shareLine(0, 1, line)
 	x.evictLine(0, line)
 	x.await(1, MsgInv, line)
@@ -278,7 +279,7 @@ func exerciseDirEvictionWB(agg *CoverageAgg) {
 	// DelayedAck overtaking its Nack on the unordered network: the
 	// early ack buffers in (BusyEv, DelayedAck) and is consumed when
 	// the Nack arrives.
-	x = newDirBench(ModeLockdown)
+	x = newDirBench(ProtoWB)
 	data = x.acquireE(0, line)
 	x.evictLine(0, line)
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgDelayedAck, Line: line, Requester: x.peers[0].id})
@@ -292,7 +293,7 @@ func exerciseDirEvictionWB(agg *CoverageAgg) {
 // sharers (IRIW-shaped): the second Nack lands in (WBW, Nack).
 func exerciseDirWBWNackPair(agg *CoverageAgg) {
 	line := mem.Line(0x40)
-	x := newDirBench(ModeLockdown)
+	x := newDirBench(ProtoWB)
 	x.shareLine(0, 1, line)
 	x.peers[2].send(x.bankEP(), &Msg{Type: MsgGetX, Line: line, Requester: x.peers[2].id})
 	x.await(0, MsgInv, line)
@@ -336,7 +337,7 @@ const exPCUEP = network.Endpoint(0)
 // directory for every line is the scripted peer at endpoint 1; the peer
 // at endpoint 2 plays third-party cores named in forwards. The private
 // caches are tiny and direct-mapped so scenarios can force writebacks.
-func newPCUBench(mode Mode) *exBench {
+func newPCUBench(proto *Protocol) *exBench {
 	params := DefaultParams()
 	params.L1Lines = 2
 	params.L1Ways = 1
@@ -353,7 +354,7 @@ func newPCUBench(mode Mode) *exBench {
 		x.peers = append(x.peers, p)
 	}
 	home := func(mem.Line) network.Endpoint { return network.Endpoint(1) }
-	x.pcu = NewPCU(exPCUEP, x.mesh, &x.params, home, exCore{}, mode)
+	x.pcu = NewPCU(exPCUEP, x.mesh, &x.params, home, exCore{}, proto)
 	x.mesh.Attach(exPCUEP, 0, x.pcu)
 	x.pcu.EnableConformance(NewConfChecker(func(ep network.Endpoint) bool { return ep == network.Endpoint(1) }))
 	return x
@@ -406,13 +407,13 @@ func (x *exBench) blockWrite(addr mem.Addr) {
 // exercisePCU replays the core-machine races: stale hints, forwards
 // that find the line in the writeback buffer, and every event arriving
 // in the RdWr state.
-func exercisePCU(mode Mode, agg *CoverageAgg) {
+func exercisePCU(proto *Protocol, agg *CoverageAgg) {
 	line := mem.Line(0x40)
 	addr := mem.Addr(line) * mem.LineBytes
 
 	// (Idle, Hint) and (Rd, Hint): the write completed (or never
 	// existed) before the hint arrived; the stale hint is dropped.
-	x := newPCUBench(mode)
+	x := newPCUBench(proto)
 	x.peers[0].send(exPCUEP, &Msg{Type: MsgBlockedHint, Line: line, Requester: exPCUEP})
 	x.run(exStep)
 	x.pcu.Load(x.now, 1, addr, false)
@@ -424,7 +425,7 @@ func exercisePCU(mode Mode, agg *CoverageAgg) {
 	// (Rd, FwdGetS): we owned the line, evicted it (Put in flight), and
 	// are re-reading it when a forward for the old ownership arrives —
 	// served from the writeback buffer.
-	x = newPCUBench(mode)
+	x = newPCUBench(proto)
 	x.ownLine(addr)
 	x.spillLine(addr)
 	x.pcu.Load(x.now, 4, addr, false)
@@ -438,7 +439,7 @@ func exercisePCU(mode Mode, agg *CoverageAgg) {
 	// The RdWr suite: a blocked, hinted write with a bypassed SoS read
 	// (Section 3.5.2), hit by each response and forward in turn.
 	rdwr := func(f func(x *exBench)) {
-		x := newPCUBench(mode)
+		x := newPCUBench(proto)
 		x.blockWrite(addr)
 		f(x)
 		x.run(exStep)
@@ -473,7 +474,7 @@ func exercisePCU(mode Mode, agg *CoverageAgg) {
 	// RdWr with the old ownership in the writeback buffer: stale
 	// forwards and the Put's ack land while both MSHRs are live.
 	rdwrOwned := func(f func(x *exBench)) {
-		x := newPCUBench(mode)
+		x := newPCUBench(proto)
 		x.ownLine(addr)
 		x.spillLine(addr)
 		x.blockWrite(addr)
@@ -523,7 +524,7 @@ func exerciseTardisDir(agg *CoverageAgg) {
 	// Write parked on a leased line: (TsS, Read/PutOwned/Write), then
 	// (TsWaitW, Read/Write/PutOwned) queue and refuse behind the park,
 	// and (TsWaitW, LeaseExpired) grants the writer exclusivity.
-	x := newDirBench(ModeTardis)
+	x := newDirBench(ProtoTardis)
 	x.tsShareLine(0, 1, line)
 	x.peers[2].send(x.bankEP(), &Msg{Type: MsgGetS, Line: line, Requester: x.peers[2].id})
 	x.await(2, MsgData, line)
@@ -544,7 +545,7 @@ func exerciseTardisDir(agg *CoverageAgg) {
 	// (TsWaitEv) — no invalidations exist to fan out — queues new work,
 	// refuses a stale Put, and completes on the lease timer, after which
 	// the orphaned read refetches the line from memory.
-	x = newDirBench(ModeTardis)
+	x = newDirBench(ProtoTardis)
 	x.tsShareLine(0, 1, line)
 	probe := cache.NewArray(x.params.LLCLines, x.params.LLCWays)
 	coll := line + 1
@@ -572,7 +573,7 @@ func exerciseTardisPCU(agg *CoverageAgg) {
 
 	// Leased grant, then self-downgrade: after the expiry fires the copy
 	// must be gone without any message in either direction.
-	x := newPCUBench(ModeTardis)
+	x := newPCUBench(ProtoTardis)
 	x.pcu.Load(x.now, 1, addr, false)
 	g := x.await(0, MsgGetS, line)
 	x.peers[0].send(exPCUEP, &Msg{Type: MsgData, Line: line, Requester: g.Requester, HasData: true, Lease: x.now + 100})
@@ -584,7 +585,7 @@ func exerciseTardisPCU(agg *CoverageAgg) {
 
 	// A grant whose lease lapsed in flight: the value binds tear-off
 	// style and nothing is installed, so no stale copy can form.
-	x = newPCUBench(ModeTardis)
+	x = newPCUBench(ProtoTardis)
 	x.pcu.Load(x.now, 1, addr, false)
 	g = x.await(0, MsgGetS, line)
 	x.peers[0].send(exPCUEP, &Msg{Type: MsgData, Line: line, Requester: g.Requester, HasData: true, Lease: x.now})
@@ -596,7 +597,7 @@ func exerciseTardisPCU(agg *CoverageAgg) {
 
 	// Forward served from the owned copy: leased data to the requester,
 	// OwnerData home, and the owner drops the line entirely.
-	x = newPCUBench(ModeTardis)
+	x = newPCUBench(ProtoTardis)
 	x.ownLine(addr)
 	x.peers[0].send(exPCUEP, &Msg{Type: MsgFwdGetS, Line: line, Requester: x.peers[1].id})
 	d := x.await(1, MsgData, line)
@@ -610,14 +611,14 @@ func exerciseTardisPCU(agg *CoverageAgg) {
 	agg.AddPCU(x.pcu)
 }
 
-// ExerciseProtocol runs every directed scenario against all protocol
-// modes and returns the merged transition coverage. It is deterministic
+// ExerciseProtocol runs every directed scenario against the evaluated
+// protocols and returns the merged transition coverage. It is deterministic
 // and cheap (a few thousand simulated cycles on otherwise idle meshes).
 func ExerciseProtocol() *CoverageAgg {
 	agg := NewCoverageAgg()
-	for _, mode := range []Mode{ModeSquash, ModeLockdown, ModeTardis} {
-		exerciseDirStalePuts(mode, agg)
-		exercisePCU(mode, agg)
+	for _, p := range EvaluatedProtocols() {
+		exerciseDirStalePuts(p, agg)
+		exercisePCU(p, agg)
 	}
 	exerciseDirEvictionWB(agg)
 	exerciseDirWBWNackPair(agg)

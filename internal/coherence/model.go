@@ -36,6 +36,7 @@ package coherence
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -183,10 +184,14 @@ func NewModel(cfg ModelConfig) *Model {
 		return network.Endpoint(cfg.Cores + int(l)%cfg.Banks)
 	}
 	port := modelPort{m: m}
+	proto := ProtocolFor(cfg.Mode, false)
+	if proto == nil {
+		panic(fmt.Sprintf("model: no registered protocol runs mode %v with silent shared evictions", cfg.Mode))
+	}
 	for b := 0; b < cfg.Banks; b++ {
-		bank := NewBank(network.Endpoint(cfg.Cores+b), port, &m.params, m.memory, cfg.Mode)
+		bank := NewBank(network.Endpoint(cfg.Cores+b), port, &m.params, m.memory, proto)
 		if cfg.PreFixPutRace || cfg.CorruptWriteRace {
-			machine := alteredMachine(cfg)
+			machine := alteredMachine(proto, cfg)
 			bank.machine = machine
 			bank.cov = machine.NewCoverage()
 		}
@@ -204,24 +209,18 @@ func NewModel(cfg ModelConfig) *Model {
 			core.prog = append(core.prog, modelOp{store: i%2 == 1, li: (c + i) % cfg.Lines})
 		}
 		m.cores = append(m.cores, core)
-		m.pcus = append(m.pcus, NewPCU(network.Endpoint(c), port, &m.params, home, core, cfg.Mode))
+		m.pcus = append(m.pcus, NewPCU(network.Endpoint(c), port, &m.params, home, core, proto))
 	}
 	return m
 }
 
-// alteredMachine composes the directory tables with the requested
-// checker-only alteration: the pre-fix PutOwned rows (the PR-5 bug) or
-// the deliberately corrupted write-grant row (a planted SWMR break).
-func alteredMachine(cfg ModelConfig) *table.Machine[dirAction] {
-	deltas := []table.Delta[dirAction]{}
-	if cfg.Mode == ModeLockdown {
-		deltas = append(deltas, dirWBDelta())
-	}
-	if cfg.Mode == ModeTardis {
-		// Tardis kills the Shared state, and both checker alterations
-		// touch only owned-line rows, so they compose unchanged.
-		deltas = append(deltas, dirTardisDelta())
-	}
+// alteredMachine composes the protocol's directory stack with the
+// requested checker-only alteration: the pre-fix PutOwned rows (the
+// stale-Put deadlock) or the deliberately corrupted write-grant row (a planted SWMR
+// break). Both touch only owned-line rows, so they compose unchanged
+// over every registered stack (tardis kills only the Shared state).
+func alteredMachine(proto *Protocol, cfg ModelConfig) *table.Machine[dirAction] {
+	deltas := slices.Clone(proto.dirDeltas)
 	if cfg.PreFixPutRace {
 		deltas = append(deltas, dirPreFixDelta())
 	}

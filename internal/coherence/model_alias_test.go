@@ -52,6 +52,7 @@ func aliasAllowed(path string) bool {
 	}
 	for _, frag := range []string{
 		".machine", // composed transition tables: immutable once built
+		".proto",   // registered protocol descriptor: frozen at package init
 		".sym",     // symmetry group: computed once, read-only
 		".conf",    // conformance recorder: test-only observer, never cloned
 		".cfg",     // model configuration: frozen at NewModel

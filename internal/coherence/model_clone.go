@@ -362,7 +362,6 @@ func (cc *cloneCtx) cloneBankInto(nb *Bank, b *Bank, port modelPort) {
 		nb.evbuf = make(map[mem.Line]*dirLine, len(b.evbuf))
 		nb.earlyDelayed = make(map[mem.Line]int, len(b.earlyDelayed))
 	}
-	nb.flavor = b.flavor
 	nb.machine = b.machine // immutable composed table
 	nb.cov = nil           // Fire skips counting on nil; clone coverage is never read
 	nb.trace = b.trace
@@ -461,7 +460,7 @@ func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHook
 	np.home = p.home // pure function of the (copied) config
 	np.data = hooks
 	np.order = hooks
-	np.mode = p.mode
+	np.proto = p.proto
 	np.machine = p.machine // immutable composed table
 	np.cov = nil           // Fire skips counting on nil; clone coverage is never read
 	np.trace = p.trace

@@ -32,12 +32,16 @@ type Params struct {
 	L1Lines int
 	L1Ways  int
 
-	// NonSilentSharedEvictions makes shared-line evictions notify the
-	// directory (PutSh) instead of staying silent. The paper's baseline
-	// uses silent evictions, citing ~9.6% lower traffic (Section 3.8);
-	// this option exists to reproduce that comparison. Under lockdown
-	// mode, an eviction whose line has a lockdown stays silent either
-	// way, so a future writer's invalidation still reaches the core.
+	// NonSilentSharedEvictions asks for the non-silent flavor of the
+	// variant's protocol: shared-line evictions notify the directory
+	// (PutSh) instead of staying silent. The paper's baseline uses
+	// silent evictions, citing ~9.6% lower traffic (Section 3.8); this
+	// option exists to reproduce that comparison. It is a protocol
+	// selector, not a controller setting: core.NewSystem resolves it to
+	// a registered protocol (base → base-ns, wb → wb-ns) and the
+	// controllers read Protocol.NonSilent. Under lockdown mode, an
+	// eviction whose line has a lockdown stays silent either way, so a
+	// future writer's invalidation still reaches the core.
 	NonSilentSharedEvictions bool
 
 	MSHRs         int // private cache unit MSHRs
@@ -102,8 +106,6 @@ const (
 	// invalidation ever reaches an M-speculative load; lease expiry is
 	// the squash signal.
 	ModeTardis
-
-	numModes // sentinel: table/coverage arrays are sized by it
 )
 
 // String names the mode.

@@ -161,7 +161,7 @@ type PCU struct {
 	home   HomeFunc
 	data   DataHooks
 	order  OrderingHooks
-	mode   Mode
+	proto  *Protocol
 	events sim.EventQueue
 
 	machine *table.Machine[pcuAction]
@@ -186,9 +186,10 @@ type PCU struct {
 
 // NewPCU builds a private cache unit attached at endpoint id. port is
 // where outbound protocol messages go (the mesh itself, or the model
-// checker's message multiset).
-func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFunc, hooks CoreHooks, mode Mode) *PCU {
-	machine := pcuMachines[mode]
+// checker's message multiset). proto supplies the composed core machine,
+// the shared-eviction flavor, and the core's reaction mode.
+func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFunc, hooks CoreHooks, proto *Protocol) *PCU {
+	machine := proto.pcu
 	p := &PCU{
 		id:      id,
 		port:    port,
@@ -196,7 +197,7 @@ func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFun
 		home:    home,
 		data:    hooks,
 		order:   hooks,
-		mode:    mode,
+		proto:   proto,
 		machine: machine,
 		cov:     machine.NewCoverage(),
 		l1:      cache.NewArray(params.L1Lines, params.L1Ways),
@@ -204,7 +205,7 @@ func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFun
 		mshrs:   cache.NewMSHRFile(params.MSHRs, params.ReservedMSHRs),
 		wbBuf:   make(map[mem.Line]*wbEntry),
 	}
-	if mode == ModeTardis {
+	if proto.Mode == ModeTardis {
 		p.leases = make(map[mem.Line]sim.Cycle)
 	}
 	return p
@@ -639,14 +640,14 @@ func (p *PCU) evictLine(e *cache.Entry) {
 	p.Stats.Evictions++
 	p.dropLine(line)
 	if state == stateS {
-		if !p.params.NonSilentSharedEvictions {
+		if !p.proto.NonSilent {
 			return // silent (the paper's chosen baseline)
 		}
 		// Section 3.8: under a lockdown, a non-silent eviction becomes
 		// silent so a later writer's invalidation still reaches the
 		// core; in squash mode it must squash M-speculative loads on
 		// the line instead (the directory stops notifying us).
-		if p.mode == ModeLockdown && p.order.HasLockdown(line) {
+		if p.proto.Mode == ModeLockdown && p.order.HasLockdown(line) {
 			p.Stats.LockdownPutS++ // counted as a lockdown-forced silent eviction
 			return
 		}
@@ -657,7 +658,7 @@ func (p *PCU) evictLine(e *cache.Entry) {
 			&Msg{Type: MsgPutSh, Line: line, Requester: p.id})
 		return
 	}
-	if p.mode == ModeLockdown && p.order.HasLockdown(line) {
+	if p.proto.Mode == ModeLockdown && p.order.HasLockdown(line) {
 		p.Stats.LockdownPutS++
 		p.wbBuf[line] = &wbEntry{data: data, dirty: state == stateM}
 		p.sendAfter(p.params.TagLatency, p.home(line),

@@ -257,15 +257,6 @@ func pcuWBDelta() table.Delta[pcuAction] {
 	}
 }
 
-// pcuMachines holds the built core machines, indexed by Mode.
-var pcuMachines = func() [numModes]*table.Machine[pcuAction] {
-	var ms [numModes]*table.Machine[pcuAction]
-	ms[ModeSquash] = table.MustBuild(pcuBaseSpec())
-	ms[ModeLockdown] = table.MustBuild(pcuBaseSpec(), pcuWBDelta())
-	ms[ModeTardis] = table.MustBuild(pcuBaseSpec(), pcuTardisDelta())
-	return ms
-}()
-
 // ---------------------------------------------------------------------
 // Actions — the network-facing handlers, one per Handled/Nacked row.
 // ---------------------------------------------------------------------

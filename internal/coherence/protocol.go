@@ -1,14 +1,16 @@
 package coherence
 
 // The protocol registry: the single place where a coherence protocol's
-// identity lives. A Protocol bundles everything the rest of the tree
-// used to re-derive with private switches — the composed table flavor
-// (via Mode + NonSilent, resolved by dirFlavorFor/pcuMachines), the
-// core-reaction mode, parameter requirements (Validate), and experiment-
-// matrix membership. Consumers iterate Protocols() instead of keeping
-// their own lists: core builds its commit-policy × protocol variant
-// matrix from it, cmd/wbsimspec and the speclint pairings walk it, the
-// conformance suite proves every entry against the litmus matrix, and
+// identity lives. A Protocol bundles the directory and PCU table deltas
+// it layers over the base MESI machines (composed once, here, at
+// registration), the core-reaction mode, parameter requirements
+// (Validate), and experiment-matrix membership. Controllers take the
+// resolved *Protocol and dispatch through its machines; no other file
+// names a shipping delta. Consumers iterate Protocols() instead of
+// keeping their own lists: core builds its commit-policy × protocol
+// variant matrix from it, cmd/wbsimspec and the speclint pairings walk
+// it, the coverage report is keyed by its machines, the conformance
+// suite proves every entry against the litmus matrix, and
 // cmd/experiments compares the Evaluated entries head-to-head.
 //
 // Registering a protocol is the whole integration: a new entry (plus its
@@ -17,7 +19,10 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"wbsim/internal/coherence/table"
 )
 
 // Protocol describes one registered coherence protocol.
@@ -28,40 +33,37 @@ type Protocol struct {
 	// Desc is the one-line description help text and docs are generated
 	// from.
 	Desc string
-	// Mode selects the composed transition tables and the core's
-	// reaction to consistency events (squash, lockdown, or lease expiry).
+	// Mode selects the core's reaction to consistency events (squash,
+	// lockdown, or lease expiry).
 	Mode Mode
 	// NonSilent makes shared-line evictions notify the directory
-	// (PutSh). It is a table-flavor selector, not a parameter default:
-	// systems pick it via Params.NonSilentSharedEvictions, which
-	// Validate cross-checks against the protocol's requirements.
+	// (PutSh). The PCU reads it from here; its directory stack must
+	// carry the ns delta that accepts PutSh.
 	NonSilent bool
 	// Evaluated marks the protocols that form commit-policy variants and
 	// appear in the head-to-head experiment matrix. Non-evaluated
 	// entries (the non-silent table flavors) still get the full static
 	// and conformance treatment.
 	Evaluated bool
+
+	// dirDeltas and pcuDeltas are the table deltas layered, in order,
+	// over the base directory and PCU specs.
+	dirDeltas []table.Delta[dirAction]
+	pcuDeltas []table.Delta[pcuAction]
+	// dir and pcu are the composed machines, built at registration and
+	// shared with every earlier protocol running the same stack.
+	dir *table.Machine[dirAction]
+	pcu *table.Machine[pcuAction]
 }
 
 // DirFlavorName names the composed directory machine this protocol runs,
 // for reports and docs.
-func (p *Protocol) DirFlavorName() string {
-	return dirMachines[dirFlavorFor(p.Mode, p.NonSilent)].Name()
-}
+func (p *Protocol) DirFlavorName() string { return p.dir.Name() }
 
 // Validate checks a parameter set against the protocol's requirements.
 func (p *Protocol) Validate(params *Params) error {
-	if p.Mode == ModeTardis {
-		if params.NonSilentSharedEvictions {
-			return fmt.Errorf("protocol %s: tardis has no sharer list to leave, so non-silent shared evictions (PutSh) do not exist", p.Name)
-		}
-		if params.TardisLease < 1 {
-			return fmt.Errorf("protocol %s: TardisLease must be positive, got %d", p.Name, params.TardisLease)
-		}
-	}
-	if p.NonSilent != params.NonSilentSharedEvictions {
-		return fmt.Errorf("protocol %s: NonSilentSharedEvictions=%v does not match the protocol's table flavor (%v)",
-			p.Name, params.NonSilentSharedEvictions, p.NonSilent)
+	if p.Mode == ModeTardis && params.TardisLease < 1 {
+		return fmt.Errorf("protocol %s: TardisLease must be positive, got %d", p.Name, params.TardisLease)
 	}
 	return nil
 }
@@ -70,9 +72,11 @@ func (p *Protocol) Validate(params *Params) error {
 // the MESI family below, then tardis from tardis.go's init).
 var protocols []*Protocol
 
-// registerProtocol adds a protocol to the registry. It panics on a
-// duplicate name or an inconsistent entry — registration happens at
-// package init, so a bad entry fails every test immediately.
+// registerProtocol adds a protocol to the registry and composes its
+// machines (table.MustBuild completeness-checks them). It panics on a
+// duplicate name, an inconsistent entry, or an incomplete table —
+// registration happens at package init, so a bad entry fails every test
+// immediately.
 func registerProtocol(p *Protocol) *Protocol {
 	if p.Name == "" || p.Desc == "" {
 		panic("coherence: protocol registration needs Name and Desc")
@@ -85,11 +89,18 @@ func registerProtocol(p *Protocol) *Protocol {
 	if p.Mode == ModeTardis && p.NonSilent {
 		panic(fmt.Sprintf("coherence: protocol %q: tardis cannot run non-silent shared evictions", p.Name))
 	}
-	// Force the composed machines to exist: dirFlavorFor panics on an
-	// unmapped pairing, and the dirMachines/pcuMachines builds have
-	// already completeness-checked the tables at this point.
-	_ = dirMachines[dirFlavorFor(p.Mode, p.NonSilent)]
-	_ = pcuMachines[p.Mode]
+	p.dir = table.MustBuild(dirBaseSpec(), p.dirDeltas...)
+	p.pcu = table.MustBuild(pcuBaseSpec(), p.pcuDeltas...)
+	// Protocols with the same stack share one machine, so coverage
+	// aggregates and hygiene passes see each composed table once.
+	for _, q := range protocols {
+		if q.dir.Name() == p.dir.Name() {
+			p.dir = q.dir
+		}
+		if q.pcu.Name() == p.pcu.Name() {
+			p.pcu = q.pcu
+		}
+	}
 	//wbsim:rawcounter -- init-time registry, frozen after package init; not per-run state
 	protocols = append(protocols, p)
 	return p
@@ -114,6 +125,7 @@ var (
 		Desc:      "base protocol with non-silent shared evictions (PutSh)",
 		Mode:      ModeSquash,
 		NonSilent: true,
+		dirDeltas: []table.Delta[dirAction]{dirNSDelta()},
 	})
 	// ProtoWB is the paper's contribution: WritersBlock. Lockdowns nack
 	// invalidations and the directory parks writers instead of squashing
@@ -123,6 +135,8 @@ var (
 		Desc:      "WritersBlock: lockdowns nack invalidations, the directory parks blocked writers",
 		Mode:      ModeLockdown,
 		Evaluated: true,
+		dirDeltas: []table.Delta[dirAction]{dirWBDelta()},
+		pcuDeltas: []table.Delta[pcuAction]{pcuWBDelta()},
 	})
 	// ProtoWBNS is WritersBlock with non-silent shared evictions.
 	ProtoWBNS = registerProtocol(&Protocol{
@@ -130,8 +144,25 @@ var (
 		Desc:      "WritersBlock with non-silent shared evictions (PutSh)",
 		Mode:      ModeLockdown,
 		NonSilent: true,
+		dirDeltas: []table.Delta[dirAction]{dirWBDelta(), dirNSDelta(), dirWBNSDelta()},
+		pcuDeltas: []table.Delta[pcuAction]{pcuWBDelta()},
 	})
 )
+
+// dirOwners and pcuOwners return, in registration order, the first
+// protocol running each distinct directory or PCU machine.
+func dirOwners() []*Protocol { return firstPer(func(p *Protocol) any { return p.dir }) }
+func pcuOwners() []*Protocol { return firstPer(func(p *Protocol) any { return p.pcu }) }
+
+func firstPer(machine func(*Protocol) any) []*Protocol {
+	var out []*Protocol
+	for _, p := range protocols {
+		if !slices.ContainsFunc(out, func(q *Protocol) bool { return machine(q) == machine(p) }) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 // Protocols returns the registered protocols in registration order. The
 // returned slice is a copy; the entries are shared.

@@ -88,13 +88,13 @@ type rig struct {
 }
 
 func newRig(t testing.TB, n int, params Params) *rig {
-	return newRigMode(t, n, params, ModeLockdown)
+	return newRigProto(t, n, params, ProtoWB)
 }
 
-// newRigMode builds the rig under an explicit protocol mode so
+// newRigProto builds the rig under an explicit protocol so
 // registry-driven tests and benchmarks can exercise every registered
 // protocol through one harness.
-func newRigMode(t testing.TB, n int, params Params, mode Mode) *rig {
+func newRigProto(t testing.TB, n int, params Params, proto *Protocol) *rig {
 	t.Helper()
 	mesh := network.NewMesh(network.DefaultConfig(n), nil)
 	memory := mem.NewMemory()
@@ -105,10 +105,10 @@ func newRigMode(t testing.TB, n int, params Params, mode Mode) *rig {
 	routers := mesh.Routers()
 	for i := 0; i < n; i++ {
 		fc := newFakeCore()
-		p := NewPCU(network.Endpoint(i), mesh, &params, home, fc, mode)
+		p := NewPCU(network.Endpoint(i), mesh, &params, home, fc, proto)
 		fc.pcu = p
 		mesh.Attach(network.Endpoint(i), i%routers, p)
-		b := NewBank(network.Endpoint(n+i), mesh, &params, memory, mode)
+		b := NewBank(network.Endpoint(n+i), mesh, &params, memory, proto)
 		mesh.Attach(network.Endpoint(n+i), i%routers, b)
 		r.cores = append(r.cores, fc)
 		r.pcus = append(r.pcus, p)
@@ -668,13 +668,12 @@ func TestReadPastFullDirectorySet(t *testing.T) {
 	r.settle()
 }
 
-// TestNonSilentSharedEviction: with NonSilentSharedEvictions enabled, a
+// TestNonSilentSharedEviction: under a non-silent protocol (wb-ns), a
 // shared-line eviction removes the core from the sharer list, so a later
 // write sends no invalidation to it.
 func TestNonSilentSharedEviction(t *testing.T) {
 	params := testParams()
-	params.NonSilentSharedEvictions = true
-	r := newRig(t, 2, params)
+	r := newRigProto(t, 2, params, ProtoWBNS)
 
 	addr := mem.Addr(0xb000)
 	line := mem.LineOf(addr)

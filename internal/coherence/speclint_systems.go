@@ -1,7 +1,7 @@
 package coherence
 
-// The composed speclint systems: every shipping pairing of directory
-// flavor and core mode, with the out-of-table producers declared — the
+// The composed speclint systems: every registered protocol's directory
+// and core machines, with the out-of-table producers declared — the
 // cores' request generation, the eviction engine's Puts, lockdown
 // release, the bank's memory-fetch completion and victim evictions.
 // cmd/wbsimspec and the protocol test suite run the static passes over
@@ -17,10 +17,10 @@ import (
 // request < forward < response, matching network.VNet ranks.
 var specVNetNames = []string{"request", "forward", "response"}
 
-// The shipping (directory flavor, core mode) compositions are exactly
-// the registered protocols: SpecSystems iterates the protocol registry,
-// so registering a protocol adds its speclint system with no edits
-// here. dirPreFixDelta is checker-only and deliberately absent.
+// The shipping compositions are exactly the registered protocols:
+// SpecSystems iterates the protocol registry, so registering a protocol
+// adds its speclint system with no edits here. dirPreFixDelta is
+// checker-only and deliberately absent.
 
 // liveStates lists every state of a machine with at least one
 // non-Impossible row — the arrival set of request traffic, which can
@@ -40,13 +40,10 @@ func liveStates(info table.Info) []int {
 }
 
 // specSystemFor builds the composed speclint system for one registered
-// protocol.
+// protocol, over the machines its banks and PCUs dispatch through.
 func specSystemFor(p *Protocol) speclint.System {
 	name := p.Name + "+" + p.Mode.String()
 	mode := p.Mode
-	flavor := dirFlavorFor(mode, p.NonSilent)
-	dir := dirMachines[flavor]
-	pcu := pcuMachines[mode]
 
 	dirSpont := []speclint.Spontaneous{
 		// fireBankFetchDone: the memory fetch lands and the entry
@@ -86,7 +83,7 @@ func specSystemFor(p *Protocol) speclint.System {
 			Note: "SoS load bypasses the blocked write onto a reserved read MSHR"},
 	}
 
-	dirLive := liveStates(dir)
+	dirLive := liveStates(p.dir)
 	stimuli := []speclint.Stimulus{
 		{Side: table.SideDir, Event: int(dirEvRead), ArrivesIn: dirLive,
 			Note: "core load issue (GetS/RetryRd)"},
@@ -119,13 +116,13 @@ func specSystemFor(p *Protocol) speclint.System {
 		Stimuli:  stimuli,
 	}
 	sys.Machines[table.SideDir] = speclint.MachineSpec{
-		Info:        dir,
+		Info:        p.dir,
 		EventNet:    dirEventNet[:],
 		Initial:     dStates(dirStNoEntry),
 		Spontaneous: dirSpont,
 	}
 	sys.Machines[table.SideCore] = speclint.MachineSpec{
-		Info:        pcu,
+		Info:        p.pcu,
 		EventNet:    pcuEventNet[:],
 		Initial:     pStates(pcuStIdle),
 		Spontaneous: pcuSpont,
@@ -143,20 +140,19 @@ func SpecSystems() []speclint.System {
 	return out
 }
 
-// SpecHygieneFindings runs the delta-hygiene pass over every shipping
-// layering (and the checker-only prefix stack, which must stay clean so
-// its deadlock demonstration reflects only the intended row changes).
+// SpecHygieneFindings runs the delta-hygiene pass over every distinct
+// registered stack (and the checker-only prefix stack, which must stay
+// clean so its deadlock demonstration reflects only the intended row
+// changes).
 func SpecHygieneFindings() []speclint.Finding {
 	var fs []speclint.Finding
-	fs = append(fs, speclint.DeltaHygiene(dirBaseSpec())...)
-	fs = append(fs, speclint.DeltaHygiene(dirBaseSpec(), dirNSDelta())...)
-	fs = append(fs, speclint.DeltaHygiene(dirBaseSpec(), dirWBDelta())...)
-	fs = append(fs, speclint.DeltaHygiene(dirBaseSpec(), dirWBDelta(), dirNSDelta(), dirWBNSDelta())...)
-	fs = append(fs, speclint.DeltaHygiene(dirBaseSpec(), dirTardisDelta())...)
+	for _, p := range dirOwners() {
+		fs = append(fs, speclint.DeltaHygiene(dirBaseSpec(), p.dirDeltas...)...)
+	}
 	fs = append(fs, speclint.DeltaHygiene(dirBaseSpec(), dirPreFixDelta())...)
-	fs = append(fs, speclint.DeltaHygiene(pcuBaseSpec())...)
-	fs = append(fs, speclint.DeltaHygiene(pcuBaseSpec(), pcuWBDelta())...)
-	fs = append(fs, speclint.DeltaHygiene(pcuBaseSpec(), pcuTardisDelta())...)
+	for _, p := range pcuOwners() {
+		fs = append(fs, speclint.DeltaHygiene(pcuBaseSpec(), p.pcuDeltas...)...)
+	}
 	return fs
 }
 

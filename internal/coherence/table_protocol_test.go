@@ -5,27 +5,34 @@ import (
 	"testing"
 
 	"wbsim/internal/coherence/table"
+	"wbsim/internal/mem"
 )
 
-// TestDirTableCompleteness pins the audited shape of the directory
-// machines: every flavor builds (init-time completeness), and the
-// non-Impossible row counts match the audit in the protocol tables —
-// base MESI, the WritersBlock delta, and the non-silent-eviction delta
-// each add exactly the rows they claim to.
+// TestDirTableCompleteness pins the audited shape of every registered
+// protocol's directory machine: each builds (init-time completeness),
+// and the non-Impossible row counts match the audit in the protocol
+// tables — base MESI, the WritersBlock, non-silent-eviction and tardis
+// deltas each add exactly the rows they claim to.
 func TestDirTableCompleteness(t *testing.T) {
-	want := map[dirFlavor]struct {
+	want := map[string]struct {
 		name     string
 		possible int
 	}{
-		dirFlavorBase:   {"dir", 32},
-		dirFlavorBaseNS: {"dir+ns", 41},
-		dirFlavorWB:     {"dir+wb", 48},
-		dirFlavorWBNS:   {"dir+wb+ns+wbns", 59},
+		"base":    {"dir", 32},
+		"base-ns": {"dir+ns", 41},
+		"wb":      {"dir+wb", 48},
+		"wb-ns":   {"dir+wb+ns+wbns", 59},
+		"tardis":  {"dir+tardis", 39},
 	}
-	for f, w := range want {
-		m := dirMachines[f]
+	for _, p := range Protocols() {
+		w, ok := want[p.Name]
+		if !ok {
+			t.Errorf("%s: registered protocol has no pinned directory shape", p.Name)
+			continue
+		}
+		m := p.dir
 		if m.Name() != w.name {
-			t.Errorf("flavor %d: name %q, want %q", f, m.Name(), w.name)
+			t.Errorf("%s: directory machine %q, want %q", p.Name, m.Name(), w.name)
 		}
 		if m.Possible() != w.possible {
 			t.Errorf("%s: %d non-impossible rows, want %d", m.Name(), m.Possible(), w.possible)
@@ -75,17 +82,50 @@ func TestPCUTableRejectsDeletedRow(t *testing.T) {
 	}
 }
 
-// TestPCUTableCompleteness pins the core-machine shape: 28 of 36 rows
-// are possible, and the WritersBlock delta only swaps actions (the
-// possible-row set is unchanged — nacking is a behavior change, not a
-// reachability change).
+// TestPCUTableCompleteness pins every registered protocol's core
+// machine: 28 of 36 rows are possible under each stack, because the
+// WritersBlock and tardis deltas only swap actions (nacking or leasing
+// is a behavior change, not a reachability change).
 func TestPCUTableCompleteness(t *testing.T) {
-	base, wb := pcuMachines[ModeSquash], pcuMachines[ModeLockdown]
-	if base.Name() != "pcu" || wb.Name() != "pcu+wb" {
-		t.Fatalf("machine names: %q, %q", base.Name(), wb.Name())
+	want := map[string]string{
+		"base": "pcu", "base-ns": "pcu",
+		"wb": "pcu+wb", "wb-ns": "pcu+wb",
+		"tardis": "pcu+tardis",
 	}
-	if base.Possible() != 28 || wb.Possible() != 28 {
-		t.Errorf("possible rows: base %d, wb %d, want 28", base.Possible(), wb.Possible())
+	for _, p := range Protocols() {
+		name, ok := want[p.Name]
+		if !ok {
+			t.Errorf("%s: registered protocol has no pinned PCU shape", p.Name)
+			continue
+		}
+		if p.pcu.Name() != name {
+			t.Errorf("%s: PCU machine %q, want %q", p.Name, p.pcu.Name(), name)
+		}
+		if p.pcu.Possible() != 28 {
+			t.Errorf("%s: %d possible rows, want 28", p.pcu.Name(), p.pcu.Possible())
+		}
+		if p.pcu.Size() != int(numPCUStates)*int(numPCUEvents) {
+			t.Errorf("%s: size %d, want %d", p.pcu.Name(), p.pcu.Size(), int(numPCUStates)*int(numPCUEvents))
+		}
+	}
+}
+
+// TestSpecSystemsLintDispatchedMachines: the speclint system built for a
+// protocol must analyze exactly the machines that protocol's banks and
+// PCUs dispatch through, so a static finding is a finding about the
+// running tables.
+func TestSpecSystemsLintDispatchedMachines(t *testing.T) {
+	for _, p := range Protocols() {
+		params := DefaultParams()
+		b := NewBank(0, nil, &params, mem.NewMemory(), p)
+		c := NewPCU(1, nil, &params, nil, exCore{}, p)
+		sys := specSystemFor(p)
+		if got := sys.Machines[table.SideDir].Info; got != table.Info(b.machine) {
+			t.Errorf("%s: speclint lints directory machine %s (%p), bank dispatches %s (%p)", p.Name, got.Name(), got, b.machine.Name(), b.machine)
+		}
+		if got := sys.Machines[table.SideCore].Info; got != table.Info(c.machine) {
+			t.Errorf("%s: speclint lints core machine %s (%p), PCU dispatches %s (%p)", p.Name, got.Name(), got, c.machine.Name(), c.machine)
+		}
 	}
 }
 

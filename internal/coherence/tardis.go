@@ -42,6 +42,8 @@ var ProtoTardis = registerProtocol(&Protocol{
 	Desc:      "timestamp coherence: leased reads, no invalidation fan-out, writes wait out leases",
 	Mode:      ModeTardis,
 	Evaluated: true,
+	dirDeltas: []table.Delta[dirAction]{dirTardisDelta()},
+	pcuDeltas: []table.Delta[pcuAction]{pcuTardisDelta()},
 })
 
 // ---------------------------------------------------------------------
@@ -398,7 +400,7 @@ func firePCULeaseExpire(a any) {
 // but the expiry event has not fired yet (same-cycle ordering); such a
 // copy must not serve new loads.
 func (p *PCU) leaseExpired(line mem.Line, e *cache.Entry) bool {
-	if p.mode != ModeTardis || e.State != stateS {
+	if p.proto.Mode != ModeTardis || e.State != stateS {
 		return false
 	}
 	exp, ok := p.leases[line]

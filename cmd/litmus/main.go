@@ -14,8 +14,8 @@
 //
 // The last form replays one (plan, test, seed) cell — e.g. a hang found
 // by the chaos campaign — in a single invocation. Malformed flags
-// (-seeds below 1, an unknown variant, plan or test) exit 2 before
-// anything is simulated.
+// (-seeds below 1, a negative -jitter, an unknown variant, plan or
+// test) exit 2 before anything is simulated.
 package main
 
 import (
@@ -54,6 +54,10 @@ func run() int {
 
 	if *seeds < 1 {
 		fmt.Fprintf(os.Stderr, "litmus: -seeds must be at least 1 (got %d)\n", *seeds)
+		return 2
+	}
+	if *jitter < 0 {
+		fmt.Fprintf(os.Stderr, "litmus: -jitter must not be negative (got %d)\n", *jitter)
 		return 2
 	}
 

@@ -86,16 +86,23 @@ func TestPORPreservesStateGraph(t *testing.T) {
 
 // TestSymmetryPreservesCanonicalStateSet: the symmetry run's state set
 // must be exactly the full run's states folded through canonicalization
-// — same orbits, no orbit lost, no orbit invented.
+// — same orbits, no orbit lost, no orbit invented. Both runs' counts are
+// pinned too.
 func TestSymmetryPreservesCanonicalStateSet(t *testing.T) {
-	configs := []coherence.ModelConfig{
-		{Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2, Mode: coherence.ModeSquash},
-		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash},
+	configs := []struct {
+		mcfg      coherence.ModelConfig
+		full, sym counts
+	}{
+		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2, Mode: coherence.ModeSquash},
+			counts{881, 3042, 4, 42}, counts{439, 1514, 2, 42}},
+		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash},
+			counts{18111, 85402, 3, 51}, counts{9069, 42747, 2, 51}},
 	}
 	if testing.Short() {
 		configs = configs[:1]
 	}
-	for _, mcfg := range configs {
+	for _, c := range configs {
+		mcfg := c.mcfg
 		full := Explore(Config{Model: mcfg, CollectStates: true})
 		sym := Explore(Config{Model: mcfg, Symmetry: true, CollectStates: true})
 		label := describe(mcfg)
@@ -117,6 +124,8 @@ func TestSymmetryPreservesCanonicalStateSet(t *testing.T) {
 			t.Errorf("%s: sym run has more terminals (%d) than full run (%d)",
 				label, sym.Terminals, full.Terminals)
 		}
+		requireCounts(t, label+" full", full, c.full)
+		requireCounts(t, label+" sym", sym, c.sym)
 	}
 }
 

@@ -7,6 +7,19 @@ import (
 	"wbsim/internal/coherence"
 )
 
+// counts are an exploration's four exact counters. The explorer is
+// deterministic, so each configuration has one set of counts at any
+// worker count and on any host; a drift means the coherence tables, the
+// model or the explorer changed what is reachable.
+type counts struct{ States, Transitions, Terminals, MaxDepth int }
+
+func requireCounts(t *testing.T, label string, res *Result, want counts) {
+	t.Helper()
+	if got := (counts{res.States, res.Transitions, res.Terminals, res.MaxDepth}); got != want {
+		t.Errorf("%s: counters drifted: got %+v, want %+v", label, got, want)
+	}
+}
+
 // TestExhaustiveSingleCore closes the smallest interesting space — one
 // core forced through private-cache conflict evictions across two lines
 // — and must find no safety violation and no trap.
@@ -21,9 +34,7 @@ func TestExhaustiveSingleCore(t *testing.T) {
 	if !res.Passed() {
 		t.Fatalf("violation=%v trap=%v", res.Violation, res.Trap)
 	}
-	if res.Terminals == 0 {
-		t.Error("no terminal (drained) state reached")
-	}
+	requireCounts(t, "1c1b2l ops3", res, counts{1024, 3129, 2, 36})
 }
 
 // TestExhaustiveTwoCoreSquash is the acceptance configuration: two cores
@@ -40,18 +51,16 @@ func TestExhaustiveTwoCoreSquash(t *testing.T) {
 	if !res.Passed() {
 		t.Fatalf("violation=%v trap=%v", res.Violation, res.Trap)
 	}
-	if res.Terminals == 0 {
-		t.Error("no terminal (drained) state reached")
-	}
+	requireCounts(t, "2c1b1l squash", res, counts{881, 3042, 4, 42})
 }
 
 // TestExhaustiveTwoCoreWritersBlock runs the same contention under
 // lockdown mode with a one-lockdown budget, which pulls the whole
 // Nack/DelayedAck/WritersBlock row family into the explored space.
-// ~40k states; skipped under -short.
+// ~43k states, about 1s; skipped under -short.
 func TestExhaustiveTwoCoreWritersBlock(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive WritersBlock exploration (~5s)")
+		t.Skip("exhaustive WritersBlock exploration (~1s)")
 	}
 	res := Explore(Config{Model: coherence.ModelConfig{
 		Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2,
@@ -62,6 +71,50 @@ func TestExhaustiveTwoCoreWritersBlock(t *testing.T) {
 	}
 	if !res.Passed() {
 		t.Fatalf("violation=%v trap=%v", res.Violation, res.Trap)
+	}
+	requireCounts(t, "2c1b1l lockdown", res, counts{43159, 229766, 16, 70})
+}
+
+// TestExplorationCounts pins the counts of the closures no other test
+// here explores: the tardis contention space, the fully reduced
+// two-line space, and the bounded three-core sweep of check-liveness.
+func TestExplorationCounts(t *testing.T) {
+	cases := []struct {
+		name       string
+		cfg        Config
+		exhaustive bool
+		want       counts
+	}{
+		{"2c1b1l tardis", Config{Model: coherence.ModelConfig{
+			Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2, Mode: coherence.ModeTardis,
+		}}, true, counts{1068, 3586, 4, 43}},
+		{"2c1b2l squash sym,por", Config{
+			Model: coherence.ModelConfig{
+				Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash,
+			},
+			Symmetry: true, POR: true,
+		}, true, counts{9069, 42747, 2, 51}},
+		{"3c2b2l squash capped", Config{
+			Model: coherence.ModelConfig{
+				Cores: 3, Banks: 2, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash,
+			},
+			MaxStates: 50000,
+		}, false, counts{50000, 277289, 0, 30}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && !tc.exhaustive {
+				t.Skip("capped three-core sweep (~2.5s)")
+			}
+			res := Explore(tc.cfg)
+			if res.Exhaustive != tc.exhaustive {
+				t.Fatalf("exhaustive = %v, want %v", res.Exhaustive, tc.exhaustive)
+			}
+			if !res.Passed() {
+				t.Fatalf("violation=%v trap=%v", res.Violation, res.Trap)
+			}
+			requireCounts(t, tc.name, res, tc.want)
+		})
 	}
 }
 
@@ -78,6 +131,7 @@ func TestDeterministicExploration(t *testing.T) {
 		a.Terminals != b.Terminals || a.MaxDepth != b.MaxDepth {
 		t.Fatalf("non-deterministic exploration: %+v vs %+v", a, b)
 	}
+	requireCounts(t, "1c1b2l ops2", a, counts{90, 212, 1, 21})
 }
 
 // TestPreFixDeadlockTrap is the root-cause regression: on the pre-fix
@@ -100,6 +154,7 @@ func TestPreFixDeadlockTrap(t *testing.T) {
 	if res.Violation != nil {
 		t.Errorf("unexpected safety violation: %v", res.Violation)
 	}
+	requireCounts(t, "1c1b2l ops2 pre-fix", res, counts{132, 321, 1, 21})
 	joinedSteps := strings.Join(res.Trap.Steps, "\n")
 	if !strings.Contains(joinedSteps, "stale") {
 		t.Errorf("trace does not show the stale PutAck:\n%s", joinedSteps)

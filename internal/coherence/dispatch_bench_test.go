@@ -9,16 +9,26 @@ import (
 // BenchmarkDirDispatch measures the directory/PCU message-dispatch hot
 // path end to end: a write-invalidate / 3-hop-read ping-pong over a warm
 // working set, so every iteration crosses the bank's GetX/GetS/Unblock
-// handling and the PCU's Inv/FwdGetS/FwdGetX/Data handling — the paths
-// `make bench-dir` gates against BENCH_baseline.json.
+// handling and the PCU's Inv/FwdGetS/FwdGetX/Data handling.
 func BenchmarkDirDispatch(b *testing.B) {
 	benchDispatchPingPong(b, newRig(b, 4, testParams()))
 }
 
-// benchDispatchPingPong is the shared write-invalidate / 3-hop-read
-// workload: warm the working set so measured iterations cross the
-// sharing paths, then ping-pong ownership between cores.
+// benchDispatchPingPong times the shared write-invalidate / 3-hop-read
+// workload of newPingPong.
 func benchDispatchPingPong(b *testing.B, r *rig) {
+	step := newPingPong(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
+// newPingPong warms the working set, so measured iterations cross the
+// sharing paths, and returns iteration i of the ping-pong: one core
+// writes a line, the next core reads it back.
+func newPingPong(r *rig) func(i int) {
 	addrs := make([]mem.Addr, 8)
 	for i := range addrs {
 		addrs[i] = mem.Addr((i + 1) * 0x1000)
@@ -34,9 +44,7 @@ func benchDispatchPingPong(b *testing.B, r *rig) {
 			r.settle()
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		a := addrs[i%len(addrs)]
 		w := r.pcus[i%len(r.pcus)]
 		for !w.StoreWrite(r.now(), a, mem.Word(i)) {
@@ -49,18 +57,45 @@ func benchDispatchPingPong(b *testing.B, r *rig) {
 }
 
 // BenchmarkDirDispatchProtocols runs the ping-pong workload once per
-// registered protocol, so `make bench-dir` reports a dispatch cost row
-// for every registry entry (a newly registered protocol appears with no
-// benchmark edits) and scripts/refresh_baseline.py records them in
-// BENCH_baseline.json. The BenchmarkDirDispatch record above stays the
-// frozen pre-refactor reference for the regression gate; these rows are
-// the additive per-protocol record. Note tardis ns/op includes the
+// registered protocol, so a newly registered protocol gets a dispatch
+// cost row with no benchmark edits. Note tardis ns/op includes the
 // cycles spent waiting out read leases — that wait is the protocol's
 // write cost, not harness overhead.
 func BenchmarkDirDispatchProtocols(b *testing.B) {
 	for _, proto := range Protocols() {
 		b.Run(proto.Name, func(b *testing.B) {
 			benchDispatchPingPong(b, newRigProto(b, 4, testParams(), proto))
+		})
+	}
+}
+
+// dispatchAllocs is the exact allocation count of one ping-pong
+// iteration per registered protocol. Tardis never invalidates shared copies
+// (its writes wait out read leases), so it allocates less.
+var dispatchAllocs = map[string]float64{
+	"base": 31, "base-ns": 31, "wb": 31, "wb-ns": 31, "tardis": 25,
+}
+
+// TestDispatchAllocs pins the allocations of the dispatch hot path: one
+// ping-pong iteration per registered protocol must allocate exactly its
+// dispatchAllocs count. A rise is new garbage on every coherence
+// message; a fall should be pinned here so it stays.
+func TestDispatchAllocs(t *testing.T) {
+	for _, proto := range Protocols() {
+		t.Run(proto.Name, func(t *testing.T) {
+			want, ok := dispatchAllocs[proto.Name]
+			if !ok {
+				t.Fatalf("no pinned allocation count for protocol %q", proto.Name)
+			}
+			step := newPingPong(newRigProto(t, 4, testParams(), proto))
+			i := 0
+			got := testing.AllocsPerRun(200, func() {
+				step(i)
+				i++
+			})
+			if got != want {
+				t.Errorf("ping-pong iteration allocates %.0f objects, want %.0f", got, want)
+			}
 		})
 	}
 }

@@ -1074,6 +1074,3 @@ func (m *Model) DumpState() string {
 	}
 	return sb.String()
 }
-
-// Stats counters the explorer reports.
-func (m *Model) NumCores() int { return m.cfg.Cores }

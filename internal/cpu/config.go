@@ -96,11 +96,3 @@ func (c *Config) Validate() {
 		panic("cpu: squash-based commit modes use the base protocol")
 	}
 }
-
-// CoherenceMode returns the coherence mode implied by the configuration.
-func (c *Config) CoherenceMode() int {
-	if c.Lockdown {
-		return 1
-	}
-	return 0
-}

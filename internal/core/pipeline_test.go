@@ -52,6 +52,41 @@ func TestBranchRecovery(t *testing.T) {
 	}
 }
 
+// TestSquashedWaiterIsIgnored: a producer keeps a squashed dependent in
+// its waiter list. Here the producer completes while the redirect
+// penalty still stalls fetch, so the dependent's window slot is free and
+// not yet reused. The waiter entry must fail its generation check: a
+// woken free slot would issue a second time and leave the issue-queue
+// count below zero once the core drains.
+func TestSquashedWaiterIsIgnored(t *testing.T) {
+	b := isa.NewBuilder("stale-waiter")
+	taken := b.NewLabel()
+	b.Work(2, 0, 0, 10)              // producer, done well before the refetch
+	b.BranchI(isa.FnEQ, 0, 0, taken) // always taken, first predicted not taken
+	b.ALUI(isa.FnAdd, 3, 2, 1)       // wrong-path dependent of the producer
+	b.Bind(taken)
+	b.Halt()
+
+	for _, v := range Variants {
+		cc := CoreConfig(SLM)
+		cc.MispredictPenalty = 40
+		v.Apply(&cc)
+		cfg := SmallConfig(1, v)
+		cfg.CoreOverride = &cc
+		sys := NewSystem(cfg, []*isa.Program{b.Program()})
+		if _, err := sys.Run(); err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		c := sys.Cores[0]
+		if c.Stats.SquashBranch == 0 {
+			t.Fatalf("%v: the branch was predicted taken — test is vacuous", v)
+		}
+		if s := c.Snapshot(); s.IQ != 0 || s.ROB != 0 || s.LQ != 0 || s.SQ != 0 {
+			t.Errorf("%v: drained core still accounts for in-flight work: %v", v, s)
+		}
+	}
+}
+
 // TestStoreLoadForwarding checks that a load takes the youngest older
 // store's value before it reaches memory.
 func TestStoreLoadForwarding(t *testing.T) {

@@ -51,6 +51,31 @@ func BenchmarkSystemStep(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/sec")
 }
 
+// TestSystemStepZeroAllocWhileBusy pins the instruction window's
+// allocation invariant: a warmed-up core running a private
+// load/ALU/store loop dispatches into fixed ROB/LQ/SQ slots and commits
+// half its instructions from mid-ROB, which never drains the ROB, so
+// stepping it must not allocate. Steps are batched because AllocsPerRun
+// truncates to whole allocations per run.
+func TestSystemStepZeroAllocWhileBusy(t *testing.T) {
+	sys := NewSystem(SmallConfig(1, OoOWB), []*isa.Program{stepBenchProgram(0)})
+	for i := 0; i < 20000; i++ {
+		sys.Step()
+	}
+	committed := sys.Cores[0].Stats.Committed
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 1000; i++ {
+			sys.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("busy System.Step allocates %.0f objects per 1000 cycles, want 0", allocs)
+	}
+	if sys.Done() || sys.Cores[0].Stats.Committed == committed {
+		t.Fatal("the core stopped committing; the loop no longer exercises the window")
+	}
+}
+
 // TestSystemStepZeroAllocWhenDrained pins the steady-state allocation
 // invariant of the scheduler: stepping a system whose cores have all
 // halted and drained must not allocate. This is the state the idle-skip

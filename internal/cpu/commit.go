@@ -218,9 +218,9 @@ func (c *Core) ldtFree() bool {
 
 // commitOne retires one instruction: architectural state is updated (WAW
 // guarded, since commits can be out of order), memory structures are
-// released, and M-speculative loads export their lockdown to the LDT.
+// released, M-speculative loads export their lockdown to the LDT, and
+// the instruction's window slots are freed.
 func (c *Core) commitOne(d *DynInstr, head bool) {
-	c.traceCommit(d)
 	if !head {
 		c.Stats.CommittedOoO++
 	}
@@ -246,11 +246,12 @@ func (c *Core) commitOne(d *DynInstr, head bool) {
 		c.removeLoad(d.lq)
 	case isa.OpStore:
 		c.Stats.CommittedStores++
-		c.sb = append(c.sb, sbEntry{seq: d.seq, addr: d.sq.addr, line: d.sq.line, value: d.sq.value})
+		c.sb = push(c.sb, &c.sbHead, sbEntry{seq: d.seq, addr: d.sq.addr, line: d.sq.line, value: d.sq.value})
 		c.removeStore(d.sq)
 	case isa.OpHalt:
 		c.halted = true
 	}
+	c.dwin.give(c, d, &d.seq)
 }
 
 // removeLoad removes a committed load from the collapsible LQ. If it is
@@ -263,7 +264,6 @@ func (c *Core) removeLoad(e *lqEntry) {
 	if idx < 0 {
 		panic(fmt.Sprintf("cpu %d: committing load not in LQ: %v", c.ID, e.d))
 	}
-	delete(c.tokens, e.d.seq)
 	ordered := c.isOrdered(e)
 	mask := e.ldtMask
 
@@ -282,6 +282,7 @@ func (c *Core) removeLoad(e *lqEntry) {
 	}
 
 	c.lq = append(c.lq[:idx], c.lq[idx+1:]...)
+	c.lqwin.give(c, e, &e.seq)
 
 	if mask != 0 {
 		// Chain the responsibilities to the nearest older non-performed
@@ -308,6 +309,7 @@ func (c *Core) removeStore(s *sqEntry) {
 	for i, x := range c.sq {
 		if x == s {
 			c.sq = append(c.sq[:i], c.sq[i+1:]...)
+			c.sqwin.give(c, s, &s.seq)
 			return
 		}
 	}

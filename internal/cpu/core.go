@@ -41,22 +41,19 @@ type Core struct {
 	sb        []sbEntry
 	sbHead    int // consumed prefix of sb (ring-style, backing array reused)
 	ldt       []ldtEntry
-	readyQ    []*DynInstr
+	readyQ    []instrRef
 	readyHead int // consumed prefix of readyQ (ring-style, backing array reused)
 	iqCount   int
 
-	// Slab allocators. Dynamic instructions and LQ/SQ entries are carved
-	// from chunks instead of allocated individually — they are the
-	// simulator's dominant allocation sites. Entries are never recycled
-	// (stale *DynInstr references from in-flight events or waiter lists
-	// must keep pointing at the dead instruction, whose squashed flag
-	// they check), so this only amortizes allocator work; the GC frees a
-	// chunk once no instruction in it is referenced.
-	dslab  []DynInstr
-	lqslab []lqEntry
-	sqslab []sqEntry
-
-	tokens map[uint64]*lqEntry
+	// The instruction window: dynamic instructions and LQ/SQ entries live
+	// in fixed pools allocated in NewCore and recycled on commit or
+	// squash. Squashes do not rewind seq and loads commit from mid-ROB, so
+	// live seqs can span more than ROBSize and a slot is not seq%ROBSize:
+	// a slot's generation is its occupant's seq, checked by every
+	// reference that can outlive it (instrRef, the PCU token).
+	dwin  window[DynInstr]
+	lqwin window[lqEntry]
+	sqwin window[sqEntry]
 
 	// seenLines records cache lines for which an invalidation hit a
 	// lockdown (the union of the per-entry S bits of the paper); the
@@ -90,9 +87,6 @@ type Core struct {
 
 	Stats Stats
 	now   sim.Cycle
-
-	traceRing []CommitTrace
-	traceCap  int
 }
 
 // NewCore builds a core running program under the given configuration.
@@ -103,10 +97,16 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 		cfg:     cfg,
 		program: program,
 		pred:    NewPredictor(12),
-		tokens:  make(map[uint64]*lqEntry),
+		rob:     make([]*DynInstr, 0, cfg.ROBSize),
 		ldt:     make([]ldtEntry, cfg.LDTSize),
-		nextSeq: 1, // seq 0 reserved (fwdSeq sentinel)
+		dwin:    newWindow[DynInstr]("rob", cfg.ROBSize),
+		lqwin:   newWindow[lqEntry]("lq", cfg.LQSize),
+		sqwin:   newWindow[sqEntry]("sq", cfg.SQSize),
+		nextSeq: 1, // seq 0 reserved (fwdSeq sentinel, free window slot)
 		rescan:  true,
+	}
+	for i := range c.lqwin.slots {
+		c.lqwin.slots[i].slot = uint64(i)
 	}
 	return c
 }
@@ -339,41 +339,26 @@ func (c *Core) fetch() {
 	}
 }
 
-func (c *Core) newDynInstr() *DynInstr {
-	if len(c.dslab) == 0 {
-		c.dslab = make([]DynInstr, 128)
+// push appends x to the head-indexed queue q[*head:], sliding the live
+// entries to the front instead of growing q when its backing array is
+// full: a queue that never drains keeps its capacity.
+func push[T any](q []T, head *int, x T) []T {
+	if len(q) == cap(q) && *head > 0 {
+		q = q[:copy(q, q[*head:])]
+		*head = 0
 	}
-	d := &c.dslab[0]
-	c.dslab = c.dslab[1:]
-	return d
+	return append(q, x)
 }
 
-func (c *Core) newLQEntry() *lqEntry {
-	if len(c.lqslab) == 0 {
-		c.lqslab = make([]lqEntry, 64)
-	}
-	e := &c.lqslab[0]
-	c.lqslab = c.lqslab[1:]
-	return e
-}
-
-func (c *Core) newSQEntry() *sqEntry {
-	if len(c.sqslab) == 0 {
-		c.sqslab = make([]sqEntry, 64)
-	}
-	e := &c.sqslab[0]
-	c.sqslab = c.sqslab[1:]
-	return e
-}
-
-// dispatch allocates the dynamic instruction, wires its dependencies, and
-// places it in the ROB (and LQ/SQ for memory operations).
+// dispatch takes a window slot for the dynamic instruction, wires its
+// dependencies, and places it in the ROB (and LQ/SQ for memory
+// operations).
 func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
-	d := c.newDynInstr()
-	d.seq, d.pc, d.si, d.op = c.nextSeq, pc, si, si.Op
+	d := c.dwin.take(c)
+	*d = DynInstr{seq: c.nextSeq, pc: pc, si: si, op: si.Op}
 	d.waiters = d.waitersBuf[:0]
 	c.nextSeq++
-	c.rob = append(c.rob, d)
+	c.rob = push(c.rob, &c.robHead, d)
 	c.iqCount++
 
 	// Source 1 gates issue for every op that reads it.
@@ -401,19 +386,14 @@ func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
 
 	//wbsim:partial(OpNop, OpALU, OpBranch, OpJump, OpHalt) -- non-memory ops allocate no LSQ entries
 	switch si.Op {
-	case isa.OpLoad:
-		e := c.newLQEntry()
-		e.d = d
-		d.lq = e
-		c.lq = append(c.lq, e)
-	case isa.OpAtomic:
-		e := c.newLQEntry()
-		e.d, e.isAtomic = d, true
+	case isa.OpLoad, isa.OpAtomic:
+		e := c.lqwin.take(c)
+		*e = lqEntry{d: d, seq: d.seq, slot: e.slot, isAtomic: si.Op == isa.OpAtomic}
 		d.lq = e
 		c.lq = append(c.lq, e)
 	case isa.OpStore:
-		e := c.newSQEntry()
-		e.d = d
+		e := c.sqwin.take(c)
+		*e = sqEntry{d: d, seq: d.seq}
 		d.sq = e
 		c.sq = append(c.sq, e)
 		if d.dataPending {
@@ -448,7 +428,7 @@ func (c *Core) wireOperand(d *DynInstr, r isa.Reg, which int, gate bool) {
 		}
 	}
 	if prod != nil {
-		prod.waiters = append(prod.waiters, d)
+		prod.waiters = append(prod.waiters, ref(d))
 		if which == 1 {
 			d.src1Prod = prod
 		} else {
@@ -471,15 +451,12 @@ func (c *Core) wireOperand(d *DynInstr, r isa.Reg, which int, gate bool) {
 // makeReady queues d for issue.
 func (c *Core) makeReady(d *DynInstr) {
 	d.state = stReady
-	c.readyQ = append(c.readyQ, d)
+	c.readyQ = push(c.readyQ, &c.readyHead, ref(d))
 }
 
 // produceDone is called when a producer completes, delivering its value
-// to d.
+// to the live waiter d.
 func (c *Core) produceDone(d, prod *DynInstr) {
-	if d.squashed {
-		return
-	}
 	if d.src1Prod == prod {
 		d.src1Prod = nil
 		d.src1Val = prod.result
@@ -511,10 +488,10 @@ func (c *Core) produceDone(d, prod *DynInstr) {
 func (c *Core) issue() {
 	issued := 0
 	for issued < c.cfg.IssueWidth && c.readyHead < len(c.readyQ) {
-		d := c.readyQ[c.readyHead]
-		c.readyQ[c.readyHead] = nil
+		r := c.readyQ[c.readyHead]
 		c.readyHead++
-		if d.squashed || d.state != stReady {
+		d := r.d
+		if !r.live() || d.state != stReady {
 			continue
 		}
 		d.state = stIssued
@@ -556,7 +533,6 @@ func (c *Core) execute(d *DynInstr) {
 		d.lq.addr = mem.AlignWord(mem.Addr(d.src1Val + d.si.Imm))
 		d.lq.line = mem.LineOf(d.lq.addr)
 		d.lq.addrValid = true
-		c.tokens[d.seq] = d.lq
 		// Memory issue is attempted by tryMemoryIssue (this cycle too).
 	case isa.OpStore:
 		d.sq.addr = mem.AlignWord(mem.Addr(d.src1Val + d.si.Imm))
@@ -578,7 +554,7 @@ func (c *Core) execute(d *DynInstr) {
 // known (completion makes it commit-eligible; it performs later from the
 // store buffer).
 func (c *Core) maybeCompleteStore(d *DynInstr) {
-	if d.state != stIssued || d.squashed {
+	if d.state != stIssued {
 		return
 	}
 	if d.sq.addrValid && d.sq.valueValid {
@@ -589,26 +565,23 @@ func (c *Core) maybeCompleteStore(d *DynInstr) {
 // complete finishes execution: the result becomes available and
 // dependents wake.
 func (c *Core) complete(d *DynInstr, result mem.Word) {
-	if d.squashed || d.state == stCompleted {
+	if d.state == stCompleted {
 		return
 	}
 	d.state = stCompleted
 	c.rescan = true
 	d.result = result
-	d.hasResult = true
-	waiters := d.waiters
-	d.waiters = nil
-	for _, w := range waiters {
-		c.produceDone(w, d)
+	for _, w := range d.waiters {
+		if w.live() {
+			c.produceDone(w.d, d)
+		}
 	}
+	d.waiters = nil
 }
 
 // resolveBranch evaluates the branch, trains the predictor, and squashes
 // on a misprediction.
 func (c *Core) resolveBranch(d *DynInstr) {
-	if d.squashed {
-		return
-	}
 	b := d.src2Val
 	if d.si.UseImm {
 		b = d.si.Imm
@@ -654,18 +627,25 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 
 	// Collect LDT responsibilities held by squashed loads; they must
 	// survive on an older non-performed load (or be released if every
-	// older load has performed) — Section 4.2.
+	// older load has performed) — Section 4.2. Squashed instructions and
+	// their LQ/SQ entries, the young ends of the LQ and SQ, free their
+	// window slots.
+	c.lq = trimLQ(c.lq, cut)
+	c.sq = trimSQ(c.sq, cut)
 	var orphanMask uint64
 	for _, d := range c.rob[idx:] {
 		c.Stats.Squashed++
-		d.squashed = true
 		if d.state == stDispatched || d.state == stReady {
 			c.iqCount--
 		}
-		if d.lq != nil {
-			orphanMask |= d.lq.ldtMask
-			delete(c.tokens, d.seq)
+		if e := d.lq; e != nil {
+			orphanMask |= e.ldtMask
+			c.lqwin.give(c, e, &e.seq)
 		}
+		if e := d.sq; e != nil {
+			c.sqwin.give(c, e, &e.seq)
+		}
+		c.dwin.give(c, d, &d.seq)
 	}
 	c.rob = c.rob[:idx]
 	c.rescan = true
@@ -673,10 +653,6 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 		c.rob = c.rob[:0]
 		c.robHead = 0
 	}
-
-	// Trim LQ and SQ.
-	c.lq = trimLQ(c.lq, cut)
-	c.sq = trimSQ(c.sq, cut)
 
 	// Reassign orphaned LDT responsibilities.
 	if orphanMask != 0 {
@@ -709,7 +685,7 @@ func (c *Core) newerThanArch(r isa.Reg, seq uint64) bool {
 
 func trimLQ(entries []*lqEntry, cut uint64) []*lqEntry {
 	for i, e := range entries {
-		if e.d.seq >= cut {
+		if e.seq >= cut {
 			return entries[:i]
 		}
 	}
@@ -718,7 +694,7 @@ func trimLQ(entries []*lqEntry, cut uint64) []*lqEntry {
 
 func trimSQ(entries []*sqEntry, cut uint64) []*sqEntry {
 	for i, e := range entries {
-		if e.d.seq >= cut {
+		if e.seq >= cut {
 			return entries[:i]
 		}
 	}

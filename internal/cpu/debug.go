@@ -93,31 +93,3 @@ func (c *Core) Snapshot() Snapshot {
 	}
 	return s
 }
-
-// CommitTrace, when enabled via EnableCommitTrace, records the last N
-// committed instructions (pc, seq, result) for debugging.
-type CommitTrace struct {
-	PC     int
-	Seq    uint64
-	Result uint64
-}
-
-// EnableCommitTrace turns on commit tracing with a ring of n entries.
-func (c *Core) EnableCommitTrace(n int) {
-	c.traceRing = make([]CommitTrace, 0, n)
-	c.traceCap = n
-}
-
-// Trace returns the recorded ring (oldest first).
-func (c *Core) Trace() []CommitTrace { return c.traceRing }
-
-func (c *Core) traceCommit(d *DynInstr) {
-	if c.traceCap == 0 {
-		return
-	}
-	if len(c.traceRing) == c.traceCap {
-		copy(c.traceRing, c.traceRing[1:])
-		c.traceRing = c.traceRing[:c.traceCap-1]
-	}
-	c.traceRing = append(c.traceRing, CommitTrace{PC: d.pc, Seq: d.seq, Result: uint64(d.result)})
-}

@@ -20,15 +20,14 @@ const (
 
 // DynInstr is one dynamic (in-flight) instruction.
 type DynInstr struct {
-	seq uint64 // per-core program-order age; also the memory token
+	seq uint64 // per-core program-order age; its window slot's generation (0 = free)
 	pc  int
 	si  *isa.Instr
 	op  isa.Op // si.Op, copied at dispatch: the commit scan reads the
 	// opcode of every in-flight instruction each cycle, and the copy
 	// spares it the si pointer chase
 
-	state    istate
-	squashed bool
+	state istate
 
 	// Operand capture. pendingIssue counts producers that must complete
 	// before the instruction can issue (for stores, only the address
@@ -38,13 +37,12 @@ type DynInstr struct {
 	pendingIssue       int
 	dataPending        bool // store data operand still outstanding
 
-	result    mem.Word
-	hasResult bool
-	waiters   []*DynInstr
+	result  mem.Word
+	waiters []instrRef
 	// waitersBuf is the initial backing array of waiters: most producers
 	// have only a few dependents, so the common case never heap-allocates
 	// the waiter list.
-	waitersBuf [4]*DynInstr
+	waitersBuf [4]instrRef
 
 	// Control flow.
 	predTaken bool
@@ -79,11 +77,80 @@ func (d *DynInstr) String() string {
 	return fmt.Sprintf("#%d@%d %s", d.seq, d.pc, d.si)
 }
 
+// instrRef is a reference that can outlive its instruction: a core event,
+// a waiter-list or ready-queue entry. It carries the generation it
+// expects; once the instruction commits or is squashed, it is ignored.
+type instrRef struct {
+	d   *DynInstr
+	seq uint64
+}
+
+func ref(d *DynInstr) instrRef { return instrRef{d, d.seq} }
+
+// live reports whether the referenced instruction is still in flight.
+func (r instrRef) live() bool { return r.d.seq == r.seq }
+
+// window is a core's fixed pool of ROB, LQ or SQ slots, recycled through
+// a LIFO free list. Dispatch gates on each structure's occupancy, so take
+// never finds the list empty, and a slot is freed once, on commit or
+// squash; a breach of either is a *WindowError.
+type window[T any] struct {
+	pool  string // "rob", "lq" or "sq"
+	slots []T
+	free  []*T
+}
+
+func newWindow[T any](pool string, n int) window[T] {
+	w := window[T]{pool: pool, slots: make([]T, n), free: make([]*T, n)}
+	for i := range w.slots {
+		w.free[n-1-i] = &w.slots[i]
+	}
+	return w
+}
+
+// take claims a free slot; the caller overwrites it, stamping the seq of
+// its new occupant as the slot's generation.
+func (w *window[T]) take(c *Core) *T {
+	n := len(w.free) - 1
+	if n < 0 {
+		panic(&WindowError{Core: c.ID, Cycle: c.now, Pool: w.pool, Fault: "underflow"})
+	}
+	x := w.free[n]
+	w.free = w.free[:n]
+	return x
+}
+
+// give frees slot x, whose generation is *gen: zeroing it fails every
+// stale reference's compare even before the slot is reused.
+func (w *window[T]) give(c *Core, x *T, gen *uint64) {
+	if *gen == 0 {
+		panic(&WindowError{Core: c.ID, Cycle: c.now, Pool: w.pool, Fault: "double free"})
+	}
+	*gen = 0
+	w.free = append(w.free, x)
+}
+
+// WindowError is a broken instruction-window invariant: a pool was asked
+// for a slot with all of them in flight (more in flight than its
+// ROB/LQ/SQ size), or a free slot was freed again.
+type WindowError struct {
+	Core  int
+	Cycle sim.Cycle
+	Pool  string // "rob", "lq" or "sq"
+	Fault string // "underflow" or "double free"
+}
+
+func (e *WindowError) Error() string {
+	return fmt.Sprintf("cpu %d: %s window %s at cycle %d", e.Core, e.Pool, e.Fault, e.Cycle)
+}
+
 // lqEntry is a load-queue entry (loads and the load half of atomics), in
 // program order. The collapsible LQ removes committed loads from any
 // position.
 type lqEntry struct {
 	d         *DynInstr
+	seq       uint64 // d.seq while in use: the slot's generation
+	slot      uint64 // index in the core's LQ window
 	addr      mem.Addr
 	line      mem.Line
 	addrValid bool
@@ -104,6 +171,7 @@ type lqEntry struct {
 // sqEntry is a store-queue entry, in program order.
 type sqEntry struct {
 	d          *DynInstr
+	seq        uint64 // d.seq while in use: the slot's generation
 	addr       mem.Addr
 	line       mem.Line
 	addrValid  bool

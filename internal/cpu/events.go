@@ -26,7 +26,7 @@ type coreEvent struct {
 	at   sim.Cycle
 	seq  uint64
 	kind coreEventKind
-	d    *DynInstr
+	r    instrRef
 	val  mem.Word
 }
 
@@ -36,7 +36,7 @@ type coreEvents struct {
 }
 
 func (q *coreEvents) after(now, delay sim.Cycle, kind coreEventKind, d *DynInstr, val mem.Word) {
-	q.h = append(q.h, coreEvent{at: now + delay, seq: q.seq, kind: kind, d: d, val: val})
+	q.h = append(q.h, coreEvent{at: now + delay, seq: q.seq, kind: kind, r: ref(d), val: val})
 	q.seq++
 	i := len(q.h) - 1
 	for i > 0 {
@@ -51,17 +51,20 @@ func (q *coreEvents) after(now, delay sim.Cycle, kind coreEventKind, d *DynInstr
 
 // run fires every event due at or before now, in order, returning the
 // number fired. Events scheduled while running (for the same cycle) also
-// fire.
+// fire. An event whose instruction has since committed or been squashed
+// does nothing but still counts as fired.
 func (q *coreEvents) run(c *Core, now sim.Cycle) int {
 	fired := 0
 	for len(q.h) > 0 && q.h[0].at <= now {
 		e := q.h[0]
 		q.pop()
-		switch e.kind {
-		case evComplete:
-			c.complete(e.d, e.val)
-		case evBranch:
-			c.resolveBranch(e.d)
+		if e.r.live() {
+			switch e.kind {
+			case evComplete:
+				c.complete(e.r.d, e.val)
+			case evBranch:
+				c.resolveBranch(e.r.d)
+			}
 		}
 		fired++
 	}

@@ -63,7 +63,7 @@ func (c *Core) hasLockdownLQ(line mem.Line) bool {
 	sos := c.sosIndex()
 	for i := sos + 1; i < len(c.lq); i++ {
 		e := c.lq[i]
-		if e.performed && e.addrValid && e.line == line && e.fwdSeq == 0 && e.d.seq < fence {
+		if e.performed && e.addrValid && e.line == line && e.fwdSeq == 0 && e.seq < fence {
 			return true
 		}
 	}
@@ -76,7 +76,7 @@ func (c *Core) hasLockdownLQ(line mem.Line) bool {
 func (c *Core) oldestPendingAtomicSeq() uint64 {
 	for _, e := range c.lq {
 		if e.isAtomic && !e.performed {
-			return e.d.seq
+			return e.seq
 		}
 	}
 	return ^uint64(0)
@@ -158,7 +158,7 @@ func (c *Core) onOrderingChange() {
 			if e.needRetry {
 				c.retryLoad(e)
 			} else if e.issued {
-				c.pcu.PromoteSoS(c.now, e.d.seq, e.addr)
+				c.pcu.PromoteSoS(c.now, c.token(e), e.addr)
 			}
 		}
 	}
@@ -207,7 +207,7 @@ func (c *Core) tryMemoryIssue() {
 		ordered := i <= sos
 		if e.issued {
 			if i == sos {
-				c.pcu.PromoteSoS(c.now, e.d.seq, e.addr)
+				c.pcu.PromoteSoS(c.now, c.token(e), e.addr)
 			}
 			continue
 		}
@@ -246,7 +246,7 @@ func (c *Core) tryMemoryIssue() {
 		if !ordered && c.seen(e.line) {
 			continue
 		}
-		res := c.pcu.Load(c.now, e.d.seq, e.addr, ordered)
+		res := c.pcu.Load(c.now, c.token(e), e.addr, ordered)
 		switch res.Status {
 		case coherence.LoadHit:
 			c.performLoad(e, res.Value, 0, res.DoneAt-c.now)
@@ -263,7 +263,7 @@ func (c *Core) tryMemoryIssue() {
 // that it is ordered.
 func (c *Core) retryLoad(e *lqEntry) {
 	e.needRetry = false
-	res := c.pcu.Load(c.now, e.d.seq, e.addr, true)
+	res := c.pcu.Load(c.now, c.token(e), e.addr, true)
 	switch res.Status {
 	case coherence.LoadHit:
 		c.performLoad(e, res.Value, 0, res.DoneAt-c.now)
@@ -304,7 +304,7 @@ const (
 func (c *Core) forwardLookup(e *lqEntry, fenceSeq uint64) (mem.Word, uint64, fwdStatus) {
 	for i := len(c.sq) - 1; i >= 0; i-- {
 		s := c.sq[i]
-		if s.d.seq >= e.d.seq {
+		if s.seq >= e.seq {
 			continue
 		}
 		if !s.addrValid {
@@ -313,13 +313,13 @@ func (c *Core) forwardLookup(e *lqEntry, fenceSeq uint64) (mem.Word, uint64, fwd
 		if s.addr != e.addr {
 			continue
 		}
-		if s.d.seq < fenceSeq {
+		if s.seq < fenceSeq {
 			return 0, 0, fwdWait
 		}
 		if !s.valueValid {
 			return 0, 0, fwdWait
 		}
-		return s.value, s.d.seq, fwdHit
+		return s.value, s.seq, fwdHit
 	}
 	for i := len(c.sb) - 1; i >= c.sbHead; i-- {
 		s := c.sb[i]
@@ -339,18 +339,18 @@ func (c *Core) forwardLookup(e *lqEntry, fenceSeq uint64) (mem.Word, uint64, fwd
 func (c *Core) memDepCheck(s *sqEntry) {
 	var victim *lqEntry
 	for _, e := range c.lq {
-		if e.d.seq <= s.d.seq || !e.performed || !e.addrValid {
+		if e.seq <= s.seq || !e.performed || !e.addrValid {
 			continue
 		}
-		if e.addr == s.addr && e.fwdSeq < s.d.seq {
-			if victim == nil || e.d.seq < victim.d.seq {
+		if e.addr == s.addr && e.fwdSeq < s.seq {
+			if victim == nil || e.seq < victim.seq {
 				victim = e
 			}
 		}
 	}
 	if victim != nil {
 		c.Stats.SquashMemDep++
-		c.squashFrom(victim.d.seq, victim.d.pc, c.cfg.MispredictPenalty)
+		c.squashFrom(victim.seq, victim.d.pc, c.cfg.MispredictPenalty)
 	}
 }
 
@@ -392,7 +392,7 @@ func (c *Core) tryAtomic(e *lqEntry) {
 	if c.sbLen() > 0 {
 		return
 	}
-	if c.pcu.AtomicExec(c.now, e.d.seq, e.addr, e.d.si.Fn, e.d.src2Val) {
+	if c.pcu.AtomicExec(c.now, c.token(e), e.addr, e.d.si.Fn, e.d.src2Val) {
 		e.atomicGo = true
 	}
 }
@@ -428,13 +428,29 @@ var (
 	_ coherence.CoreHooks     = (*Core)(nil)
 )
 
+// token is the PCU's key for e's memory request: its LQ slot plus the
+// slot's generation, unique over the whole run.
+func (c *Core) token(e *lqEntry) uint64 {
+	return e.seq*uint64(len(c.lqwin.slots)) + e.slot
+}
+
+// tokenLoad returns the LQ entry a token names, or nil once its load has
+// committed or been squashed: the slot's generation no longer matches.
+func (c *Core) tokenLoad(token uint64) *lqEntry {
+	n := uint64(len(c.lqwin.slots))
+	if e := &c.lqwin.slots[token%n]; e.seq == token/n {
+		return e
+	}
+	return nil
+}
+
 // LoadDone implements coherence.CoreHooks: a missing load's value
 // arrives. Tear-off values bind only for ordered loads; unordered loads
 // must retry once ordered (Section 3.4).
 func (c *Core) LoadDone(now sim.Cycle, token uint64, value mem.Word, tearoff bool) {
 	c.now = now
-	e, ok := c.tokens[token]
-	if !ok || e.performed {
+	e := c.tokenLoad(token)
+	if e == nil || e.performed {
 		return // squashed (or already bound via forwarding)
 	}
 	if tearoff {
@@ -455,8 +471,8 @@ func (c *Core) LoadDone(now sim.Cycle, token uint64, value mem.Word, tearoff boo
 // delivered.
 func (c *Core) AtomicDone(now sim.Cycle, token uint64, old mem.Word) {
 	c.now = now
-	e, ok := c.tokens[token]
-	if !ok || e.performed {
+	e := c.tokenLoad(token)
+	if e == nil || e.performed {
 		return
 	}
 	c.performLoad(e, old, 0, sim.Cycle(c.cfg.ForwardLatency))
@@ -494,9 +510,9 @@ func (c *Core) OnInvalidation(now sim.Cycle, line mem.Line) bool {
 func (c *Core) squashAtomicSpec(line mem.Line) {
 	fence := c.oldestPendingAtomicSeq()
 	for _, e := range c.lq {
-		if e.performed && e.addrValid && e.line == line && e.fwdSeq == 0 && e.d.seq > fence {
+		if e.performed && e.addrValid && e.line == line && e.fwdSeq == 0 && e.seq > fence {
 			c.Stats.SquashAtomic++
-			c.squashFrom(e.d.seq, e.d.pc, c.cfg.MispredictPenalty)
+			c.squashFrom(e.seq, e.d.pc, c.cfg.MispredictPenalty)
 			return
 		}
 	}
@@ -529,7 +545,7 @@ func (c *Core) squashMSpec(line mem.Line, inv bool) {
 			} else {
 				c.Stats.SquashEvict++
 			}
-			c.squashFrom(e.d.seq, e.d.pc, c.cfg.MispredictPenalty)
+			c.squashFrom(e.seq, e.d.pc, c.cfg.MispredictPenalty)
 			return
 		}
 	}

@@ -159,11 +159,12 @@ golden-full:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
-# CPU+heap profile of a representative run (fft + lu_cb, 4 cores), then
-# the top-10 consumers of each. Profiles land in ./cpu.pprof, ./mem.pprof.
+# CPU+heap profile of perfbench's sim-shared input (radix + fft, 16
+# cores, scale 1, one simulation at a time), then the top-10 consumers
+# of each. Profiles land in ./cpu.pprof, ./mem.pprof.
 profile:
 	$(GO) build -o /tmp/wbsim-profile-tsosim ./cmd/tsosim
-	/tmp/wbsim-profile-tsosim -workload fft,lu_cb -cores 4 -scale 1 \
+	/tmp/wbsim-profile-tsosim -workload radix,fft -cores 16 -scale 1 -parallel 1 \
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount=10 /tmp/wbsim-profile-tsosim cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space /tmp/wbsim-profile-tsosim mem.pprof

@@ -39,6 +39,11 @@ func TestMalformedFlagsExitTwo(t *testing.T) {
 		{"wbsimcheck", []string{"-max-states", "-5"}},
 		{"wbsimcheck", []string{"-mode", "lockdown", "-lockdowns", "-1"}},
 		{"wbsimcheck", []string{"-mode", "squash", "-lockdowns", "1"}},
+		// A stray positional word stops flag parsing; the flags after it
+		// must not be silently dropped.
+		{"tsosim", []string{"bogus", "-cores", "2"}},
+		{"litmus", []string{"bogus", "-seeds", "0"}},
+		{"wbsimcheck", []string{"bogus", "-cores", "-1"}},
 	} {
 		t.Run(c.tool+" "+strings.Join(c.args, " "), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -50,6 +50,10 @@ func run() int {
 	)
 	prof := profiling.AddFlags()
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "litmus: unexpected arguments %v\n", flag.Args())
+		return 2
+	}
 	profiling.TuneGC()
 
 	if *seeds < 1 {

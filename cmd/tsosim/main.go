@@ -54,6 +54,10 @@ func run() int {
 	)
 	prof := profiling.AddFlags()
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "tsosim: unexpected arguments %v\n", flag.Args())
+		return 2
+	}
 	profiling.TuneGC()
 
 	if *list {

@@ -95,6 +95,10 @@ func mainExit() int {
 		progress  = flag.Bool("progress", false, "print per-layer frontier progress to stderr")
 	)
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "wbsimcheck: unexpected arguments %v\n", flag.Args())
+		return 2
+	}
 
 	// Exploration retains every fingerprint, so the live heap only
 	// grows; the default GC target reclaims little but rescans the

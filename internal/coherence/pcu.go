@@ -225,6 +225,13 @@ func (p *PCU) EventsDue(now sim.Cycle) bool {
 	return ok && at <= now
 }
 
+// EnteredAt reports whether the PCU ran at cycle now: a message delivery,
+// a deferred send or a lease expiry, or a call from its core. Every
+// entry stamps the cycle, so asked before the core's tick it names
+// exactly the cycles on which something other than the core may have
+// changed the core's state or the PCU's answers to it.
+func (p *PCU) EnteredAt(now sim.Cycle) bool { return p.now == now }
+
 // NextEventCycle reports the cycle of the PCU's earliest deferred send.
 func (p *PCU) NextEventCycle() (sim.Cycle, bool) { return p.events.NextAt() }
 

@@ -126,15 +126,18 @@ type Config struct {
 	Watchdog faults.WatchdogConfig
 
 	// CycleAccurate disables the idle-skip fast-forward in Run, forcing
-	// every cycle to execute, and makes every core scan its ROB for
-	// commits on every cycle instead of only after a change to the
-	// commit decision's inputs — checking each scan the event-driven
-	// commit would have skipped, and panicking (contained by Run as a
-	// SimError) if it would have diverged. Simulated outcomes are
-	// identical either way — both skips only elide provably inert work —
-	// so the flag exists as an escape hatch for instrumentation that
-	// samples the machine mid-flight, and for the determinism gate that
-	// proves the equivalence.
+	// every cycle to execute, and disables the per-core sleep, forcing
+	// every core to run its full pipeline on every tick. It also makes
+	// every core scan its ROB for commits on every cycle instead of only
+	// after a change to the commit decision's inputs. Each tick a core
+	// would have slept through and each scan the event-driven commit
+	// would have skipped is checked against what the skip would have
+	// credited, panicking (contained by Run as a SimError) on any
+	// divergence. Simulated outcomes are identical either way — the
+	// skips only elide provably inert work — so the flag exists as an
+	// escape hatch for instrumentation that samples the machine
+	// mid-flight, and for the determinism gates that prove the
+	// equivalence.
 	CycleAccurate bool
 
 	// Shards is kept only so existing callers that pin it to 1 still

@@ -5,21 +5,26 @@ import (
 	"reflect"
 	"testing"
 
+	"wbsim/internal/coherence"
+	"wbsim/internal/cpu"
 	"wbsim/internal/faults"
 	"wbsim/internal/isa"
 	"wbsim/internal/sim"
 )
 
 // TestIdleSkipMatchesCycleAccurate is the determinism gate for the
-// event-driven kernel: running with the idle-skip fast-forward and the
-// event-driven commit skip (the default) must produce *exactly* the run
-// that cycle-accurate stepping produces — same final cycle, same Results
-// down to every stall and squash counter, same architectural registers —
-// across every variant, fault plan, and random programs. Both skips may
-// only elide work they can prove is a replay; any divergence here means
-// one elided work it couldn't. The cycle-accurate run also checks every
-// commit scan the skip would have elided, so a missed commit input
-// fails it at the first cycle it matters (cpu.CommitSkipError).
+// event-driven kernel: running with the idle-skip fast-forward, the
+// per-core sleep and the event-driven commit skip (the default) must
+// produce *exactly* the run that cycle-accurate stepping produces — same
+// final cycle, same Results down to every stall and squash counter, same
+// architectural registers — across every variant, fault plan, and random
+// programs. The skips may only elide work they can prove is a replay;
+// any divergence here means one elided work it couldn't. The
+// cycle-accurate run also checks every commit scan the skip would have
+// elided, so a missed commit input fails it at the first cycle it
+// matters (cpu.CommitSkipError), and every tick a core would have slept
+// through, so a missed wake-up fails it the same way (cpu.SleepError).
+// Per-core counters are compared too.
 func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 	plans := []*faults.Plan{nil}
 	for _, p := range faults.Catalog() {
@@ -48,7 +53,7 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 					cores = 2
 				}
 				t.Run(fmt.Sprintf("%v/%s/seed%d", v, name, seed), func(t *testing.T) {
-					run := func(accurate bool) (sim.Cycle, Results, [16]uint64) {
+					run := func(accurate bool) (sim.Cycle, Results, [16]uint64, []perCore) {
 						rng := sim.NewRand(9000 + seed)
 						progs := make([]*isa.Program, cores)
 						for i := range progs {
@@ -69,10 +74,10 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 								regs[r] ^= uint64(sys.Cores[i].Reg(isa.Reg(r))) << i
 							}
 						}
-						return cycles, sys.Collect(), regs
+						return cycles, sys.Collect(), regs, perCoreStats(sys)
 					}
-					accCycles, accRes, accRegs := run(true)
-					cycles, res, regs := run(false)
+					accCycles, accRes, accRegs, accCores := run(true)
+					cycles, res, regs, cores := run(false)
 					if cycles != accCycles {
 						t.Errorf("idle-skip cycles: %d, cycle-accurate %d", cycles, accCycles)
 					}
@@ -90,10 +95,31 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 					if regs != accRegs {
 						t.Error("architectural registers diverge")
 					}
+					for i := range cores {
+						if cores[i] != accCores[i] {
+							t.Errorf("core %d diverges:\nidle-skip:      %+v\ncycle-accurate: %+v", i, cores[i], accCores[i])
+						}
+					}
 				})
 			}
 		}
 	}
+}
+
+// perCore is one core's counters and its PCU's.
+type perCore struct {
+	Core cpu.Stats
+	PCU  coherence.PCUStats
+}
+
+// perCoreStats collects every core's and PCU's counters: the summed
+// Results can hide a credit charged to the wrong core.
+func perCoreStats(sys *System) []perCore {
+	var pc []perCore
+	for i, c := range sys.Cores {
+		pc = append(pc, perCore{c.Stats, sys.PCUs[i].Stats})
+	}
+	return pc
 }
 
 // TestFastForwardObservesWatchdog checks that skipping idle cycles does

@@ -124,8 +124,11 @@ func (s *System) ReadWord(addr mem.Addr) mem.Word {
 // Step advances the machine one cycle. Components whose Tick would
 // provably do nothing — a mesh with no arrival due, banks and PCUs with
 // no deferred event due (their Tick only refreshes a timestamp every
-// handler sets itself) — are skipped; cores always tick, because the
-// cycle counter and stall accounting advance every cycle.
+// handler sets itself) — are skipped. Cores always tick, because the
+// cycle counter and stall accounting advance every cycle, but a core
+// whose last tick was idle-stable sleeps through it, crediting the
+// repeat, unless this cycle's mesh deliveries or PCU events entered its
+// PCU — which is why the cores tick last.
 func (s *System) Step() {
 	now := s.Clock.Advance()
 	if s.stepHook != nil {
@@ -338,14 +341,6 @@ func (s *System) HangReport(reason string, stuckCore int, stallAge sim.Cycle) *f
 	r.NetPerVNet, r.NetInFlight = s.Mesh.InFlightCensus()
 	r.Finalize()
 	return r
-}
-
-// RunFor executes exactly n additional cycles (for tests that inspect
-// intermediate state).
-func (s *System) RunFor(n sim.Cycle) {
-	for i := sim.Cycle(0); i < n; i++ {
-		s.Step()
-	}
 }
 
 // Results captures the aggregate statistics of a finished run.

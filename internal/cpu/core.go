@@ -63,18 +63,24 @@ type Core struct {
 	// dispatch-block reason for this cycle's stall accounting.
 	blockReason string
 
-	// Idle-skip bookkeeping (see core.System fast-forward). inert records
-	// that the last Tick provably changed nothing but the cycle counter
-	// and per-cycle stall/polling counters; recur holds that tick's
-	// deltas of the recurring counters (MemDepWait, LDTFullStalls, PCU
-	// Loads, PCU LoadMisses) and recurOK that they matched the previous
-	// tick's — the steady-state signature that makes crediting skipped
-	// cycles exact. stallKind persists the accountStall bucket so skipped
-	// cycles charge the same stall reason a real tick would have.
+	// Idle-skip and sleep bookkeeping (see Tick and core.System
+	// fast-forward). inert records that the last executed tick provably
+	// changed nothing but the cycle counter and per-cycle stall/polling
+	// counters; recur holds that tick's deltas of the recurring counters
+	// (MemDepWait, LDTFullStalls, PCU Loads, PCU LoadMisses) and recurOK
+	// that they matched the previous tick's — the steady-state signature
+	// that makes crediting skipped cycles exact. stallKind persists the
+	// accountStall bucket so skipped cycles charge the same stall reason
+	// a real tick would have.
 	inert     bool
 	recur     [4]uint64
 	recurOK   bool
 	stallKind uint8
+	// handed counts LQ entries handed to the PCU to wait on it (a load
+	// left pending, an atomic let go): state changes that fire, schedule
+	// and move nothing else, yet change which loads the next tick
+	// presents.
+	handed uint64
 
 	// Event-driven commit (see commit). rescan is set by every change to
 	// an input of the commit decision and cleared by a scan that commits
@@ -112,9 +118,10 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 }
 
 // SetCycleAccurate makes commit scan the ROB on every cycle instead of
-// only after a change to one of its inputs, and panic with a
-// *CommitSkipError on any cycle where the skip would have diverged from
-// that scan. Simulated outcomes are identical either way.
+// only after a change to one of its inputs, and the core execute every
+// tick it would have slept through; each panics (*CommitSkipError,
+// *SleepError) on any cycle where the skip would have diverged from the
+// executed work. Simulated outcomes are identical either way.
 func (c *Core) SetCycleAccurate(on bool) { c.checkSkip = on }
 
 // AttachPCU wires the private cache unit (built after the core because
@@ -151,26 +158,76 @@ const (
 // Tick advances the core by one cycle. The PCU is ticked separately by
 // the system (delivering memory responses before the core's pipeline
 // stages run).
+//
+// A core whose last executed tick was idle-stable sleeps: until one of
+// the inputs that tick read changes, every tick is an exact repeat, so
+// it is credited (CreditIdle(1)) instead of executed. The inputs are the
+// core's own state (changed only by its events and its fetch re-enable)
+// and its PCU's (changed only when the PCU is entered — every PCU touch
+// of the cycle precedes the core's tick). Under cycle-accurate stepping
+// a tick that would have slept runs in full and is checked against the
+// credit (SleepError).
 func (c *Core) Tick(now sim.Cycle) {
 	c.now = now
-
-	// Quiet-done fast path: a halted core with every structure drained.
-	// Walking the full pipeline on such a core is provably equivalent to
-	// bumping the cycle counter (commit has nothing to retire and, with
-	// no ROB entries, no LDT stall to replay; the memory loops iterate
-	// empty queues; fetch returns immediately on halted), so do just
-	// that.
-	if c.halted && c.robLen() == 0 && len(c.lq) == 0 && len(c.sq) == 0 &&
-		c.sbLen() == 0 && c.readyLen() == 0 && len(c.seenLines) == 0 &&
-		c.events.empty() {
-		c.Stats.Cycles++
-		c.recurOK = c.recur == [4]uint64{}
-		c.recur = [4]uint64{}
-		c.inert = true
-		c.stallKind = stallNone
+	if !c.asleep(now) {
+		c.tick(now)
 		return
 	}
+	if !c.checkSkip {
+		c.CreditIdle(1)
+		return
+	}
+	c.checkSleep(now)
+}
 
+// asleep reports whether the tick at now would repeat the last one: it
+// was idle-stable, no event of the core's falls due, fetch does not
+// re-enable, and the PCU has not been entered this cycle.
+func (c *Core) asleep(now sim.Cycle) bool {
+	if !c.inert || !c.recurOK || c.pcu.EnteredAt(now) {
+		return false
+	}
+	if at, ok := c.events.nextAt(); ok && at <= now {
+		return false
+	}
+	return c.halted || c.fetchHalted || c.fetchStallUntil != now
+}
+
+// checkSleep runs a tick the core would have slept through and panics
+// with a *SleepError unless it matches the credit exactly: the same
+// counters, and still idle-stable with the same stall bucket.
+func (c *Core) checkSleep(now sim.Cycle) {
+	stats, pcuStats, kind := c.Stats, c.pcu.Stats, c.stallKind
+	c.CreditIdle(1)
+	want, wantPCU := c.Stats, c.pcu.Stats
+	c.Stats, c.pcu.Stats = stats, pcuStats
+	c.tick(now)
+	switch {
+	case c.Stats != want:
+		panic(&SleepError{Core: c.ID, Cycle: now, What: fmt.Sprintf("core stats %+v, credit %+v", c.Stats, want)})
+	case c.pcu.Stats != wantPCU:
+		panic(&SleepError{Core: c.ID, Cycle: now, What: fmt.Sprintf("PCU stats %+v, credit %+v", c.pcu.Stats, wantPCU)})
+	case !c.IdleStable() || c.stallKind != kind:
+		panic(&SleepError{Core: c.ID, Cycle: now, What: "the tick was not an idle-stable repeat"})
+	}
+}
+
+// SleepError is the cycle-accurate oracle's report that a tick the core
+// would have slept through — its last tick idle-stable, no own event
+// due, no fetch re-enable, its PCU not entered — did something the
+// credit would not have: a wake condition is missing.
+type SleepError struct {
+	Core  int
+	Cycle sim.Cycle
+	What  string
+}
+
+func (e *SleepError) Error() string {
+	return fmt.Sprintf("cpu %d: sleep diverges at cycle %d: %s", e.Core, e.Cycle, e.What)
+}
+
+// tick executes one cycle of the pipeline.
+func (c *Core) tick(now sim.Cycle) {
 	c.Stats.Cycles++
 
 	// Snapshot everything a state-changing tick must disturb. Any
@@ -183,6 +240,7 @@ func (c *Core) Tick(now sim.Cycle) {
 	preSB := c.sbLen()
 	preReady := c.readyLen()
 	preEvSeq := c.events.seq
+	preHanded := c.handed
 	preRecur := [4]uint64{c.Stats.MemDepWait, c.Stats.LDTFullStalls,
 		c.pcu.Stats.Loads, c.pcu.Stats.LoadMisses}
 
@@ -199,7 +257,7 @@ func (c *Core) Tick(now sim.Cycle) {
 		c.pcu.Stats.Loads - preRecur[2], c.pcu.Stats.LoadMisses - preRecur[3]}
 	c.inert = fired == 0 && committed == 0 &&
 		c.sbLen() == preSB && c.readyLen() == preReady &&
-		c.events.seq == preEvSeq &&
+		c.events.seq == preEvSeq && c.handed == preHanded &&
 		c.Stats.Fetched == preFetched && c.Stats.Squashed == preSquashed
 	c.recurOK = recur == c.recur
 	c.recur = recur
@@ -235,13 +293,17 @@ func (c *Core) robLen() int { return len(c.rob) - c.robHead }
 // sbLen is the number of undrained store-buffer entries.
 func (c *Core) sbLen() int { return len(c.sb) - c.sbHead }
 
-// IdleStable reports whether the last Tick was inert — no event fired or
-// was scheduled, nothing committed, fetched, issued, squashed, or moved
-// through the store buffer — AND its recurring-counter deltas matched the
-// tick before (so the core is past any one-shot transition such as
-// registering a miss waiter). While every core of a system is idle-stable
-// and no component has work due, ticks are exact repeats: the scheduler
-// may credit them wholesale instead of executing them.
+// IdleStable reports whether the last executed tick was inert — no event
+// fired or was scheduled, nothing committed, fetched, issued, squashed,
+// moved through the store buffer, or was handed to the PCU to wait on it
+// — AND its recurring-counter deltas matched the tick before (so the
+// core is past any one-shot transition such as registering a miss
+// waiter). Until something changes one of that tick's inputs, the
+// core's ticks are exact repeats of it: Tick sleeps through them while
+// its own events, its fetch re-enable and its PCU stay quiet, and while
+// every core is idle-stable and no component has work due, the
+// scheduler credits whole stretches of them at once. A slept tick
+// leaves the core idle-stable.
 func (c *Core) IdleStable() bool { return c.inert && c.recurOK }
 
 // NextEventCycle returns the earliest future cycle at which this core can

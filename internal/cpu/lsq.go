@@ -253,6 +253,7 @@ func (c *Core) tryMemoryIssue() {
 			return
 		case coherence.LoadPending:
 			e.issued = true
+			c.handed++
 		case coherence.LoadNoMSHR:
 			// structural stall; retry next cycle
 		}
@@ -269,6 +270,7 @@ func (c *Core) retryLoad(e *lqEntry) {
 		c.performLoad(e, res.Value, 0, res.DoneAt-c.now)
 	case coherence.LoadPending:
 		e.issued = true
+		c.handed++
 	case coherence.LoadNoMSHR:
 		e.needRetry = true // try again next cycle
 	}
@@ -394,6 +396,7 @@ func (c *Core) tryAtomic(e *lqEntry) {
 	}
 	if c.pcu.AtomicExec(c.now, c.token(e), e.addr, e.d.si.Fn, e.d.src2Val) {
 		e.atomicGo = true
+		c.handed++
 	}
 }
 

@@ -159,12 +159,13 @@ golden-full:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
-# CPU+heap profile of perfbench's sim-shared input (radix + fft, 16
-# cores, scale 1, one simulation at a time), then the top-10 consumers
-# of each. Profiles land in ./cpu.pprof, ./mem.pprof.
+# CPU profile of perfbench's sim-shared workload (radix + fft under
+# ooo-base, ooo-wb and ooo-tardis, 16 cores, scale 1): 15 s of children,
+# every other one traced, whose CPU profiles pprof merges before listing
+# the top consumers (about 650 samples on a 2-vCPU Xeon). One tsosim run
+# of that input lasts under half a second, too few samples to rank. The
+# traced children time each layer, so runtime.nanotime shows up too.
 profile:
-	$(GO) build -o /tmp/wbsim-profile-tsosim ./cmd/tsosim
-	/tmp/wbsim-profile-tsosim -workload radix,fft -cores 16 -scale 1 -parallel 1 \
-		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
-	$(GO) tool pprof -top -nodecount=10 /tmp/wbsim-profile-tsosim cpu.pprof
-	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space /tmp/wbsim-profile-tsosim mem.pprof
+	rm -f .bench_build/profiles/sim-shared-*.pprof
+	python3 perfbench/run.py --workload sim-shared --seconds 15 --trace 1 > /dev/null
+	$(GO) tool pprof -top -nodecount=20 .bench_build/profiles/sim-shared-*.pprof

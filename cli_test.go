@@ -29,6 +29,7 @@ func TestMalformedFlagsExitTwo(t *testing.T) {
 		{"tsosim", []string{"-scale", "0"}},
 		{"tsosim", []string{"-class", "XYZ"}},
 		{"tsosim", []string{"-variant", "nope"}},
+		{"tsosim", []string{"-workload", "nope"}},
 		{"litmus", []string{"-seeds", "-1"}},
 		{"litmus", []string{"-seeds", "0"}},
 		{"litmus", []string{"-jitter", "-5"}},
@@ -44,6 +45,10 @@ func TestMalformedFlagsExitTwo(t *testing.T) {
 		{"tsosim", []string{"bogus", "-cores", "2"}},
 		{"litmus", []string{"bogus", "-seeds", "0"}},
 		{"wbsimcheck", []string{"bogus", "-cores", "-1"}},
+		// experiments takes one verb, and reads flags on either side of it.
+		{"experiments", []string{"fig9", "bogus"}},
+		{"experiments", []string{"fig9", "-cores", "0"}},
+		{"experiments", []string{"nope"}},
 	} {
 		t.Run(c.tool+" "+strings.Join(c.args, " "), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -63,5 +68,29 @@ func TestMalformedFlagsExitTwo(t *testing.T) {
 				t.Fatalf("%s %v: stderr shows a crash:\n%s", c.tool, c.args, s)
 			}
 		})
+	}
+}
+
+// TestExperimentsFlagsAfterVerb pins that a flag after the experiment's
+// name reaches the engine: both orders print the same tables.
+func TestExperimentsFlagsAfterVerb(t *testing.T) {
+	experiments := buildTool(t, t.TempDir(), "experiments")
+	var outs [2][]byte
+	for i, args := range [][]string{
+		{"fig9", "-cores", "2", "-scale", "1"},
+		{"-cores", "2", "-scale", "1", "fig9"},
+	} {
+		out, err := exec.Command(experiments, args...).Output()
+		if err != nil {
+			t.Fatalf("experiments %v: %v", args, err)
+		}
+		outs[i] = out
+	}
+	if len(outs[0]) == 0 {
+		t.Fatal("experiments fig9 printed nothing")
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("flags after the verb changed the tables:\n-- fig9 -cores 2 -scale 1 --\n%s\n-- -cores 2 -scale 1 fig9 --\n%s",
+			outs[0], outs[1])
 	}
 }

@@ -21,56 +21,40 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"slices"
 	"strings"
 
+	"wbsim/internal/cli"
 	"wbsim/internal/coherence"
 	"wbsim/internal/core"
 	"wbsim/internal/faults"
 	"wbsim/internal/litmus"
-	"wbsim/internal/profiling"
 	"wbsim/internal/sim"
 )
 
-func main() { os.Exit(run()) }
+var (
+	name      = flag.String("test", "", "run only the named test")
+	seeds     = flag.Int("seeds", 60, "independent runs per test/variant")
+	jitter    = flag.Int("jitter", 24, "max random extra network latency")
+	parallel  = flag.Int("parallel", 0, "max concurrent seed simulations (<=0: GOMAXPROCS)")
+	unsafe    = flag.Bool("unsafe", false, "also run the ooo-unsafe violation demo")
+	chaos     = flag.Bool("chaos", false, "run the fault-plan chaos campaign instead of the plain suite")
+	plans     = flag.String("plans", "", "comma-separated fault-plan names for -chaos (default: whole catalog)")
+	planName  = flag.String("plan", "", "inject one fault plan into a plain suite run (chaos repro)")
+	variants  = flag.String("variants", "", "comma-separated variants (default: all sound variants)")
+	maxCycles = flag.Uint64("max-cycles", 0, "cycle budget per run (0: config default)")
+	coverage  = flag.Bool("coverage", false, "print the protocol transition-coverage summary after the campaign")
+)
 
-func run() int {
-	var (
-		name      = flag.String("test", "", "run only the named test")
-		seeds     = flag.Int("seeds", 60, "independent runs per test/variant")
-		jitter    = flag.Int("jitter", 24, "max random extra network latency")
-		parallel  = flag.Int("parallel", 0, "max concurrent seed simulations (<=0: GOMAXPROCS)")
-		unsafe    = flag.Bool("unsafe", false, "also run the ooo-unsafe violation demo")
-		chaos     = flag.Bool("chaos", false, "run the fault-plan chaos campaign instead of the plain suite")
-		plans     = flag.String("plans", "", "comma-separated fault-plan names for -chaos (default: whole catalog)")
-		planName  = flag.String("plan", "", "inject one fault plan into a plain suite run (chaos repro)")
-		variants  = flag.String("variants", "", "comma-separated variants (default: all sound variants)")
-		maxCycles = flag.Uint64("max-cycles", 0, "cycle budget per run (0: config default)")
-		coverage  = flag.Bool("coverage", false, "print the protocol transition-coverage summary after the campaign")
-	)
-	prof := profiling.AddFlags()
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "litmus: unexpected arguments %v\n", flag.Args())
-		return 2
-	}
-	profiling.TuneGC()
+func main() { cli.Command{Profiled: true}.Main(run) }
 
+func run([]string) int {
 	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "litmus: -seeds must be at least 1 (got %d)\n", *seeds)
-		return 2
+		return cli.Failf(cli.Usage, "-seeds must be at least 1 (got %d)", *seeds)
 	}
 	if *jitter < 0 {
-		fmt.Fprintf(os.Stderr, "litmus: -jitter must not be negative (got %d)\n", *jitter)
-		return 2
+		return cli.Failf(cli.Usage, "-jitter must not be negative (got %d)", *jitter)
 	}
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "litmus: %v\n", err)
-		return 2
-	}
-	defer stopProf()
 
 	opts := litmus.Options{
 		Seeds:     *seeds,
@@ -81,8 +65,7 @@ func run() int {
 	if *planName != "" {
 		p, err := faults.ByName(*planName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "litmus: %v\n", err)
-			return 2
+			return cli.Failf(cli.Usage, "%v", err)
 		}
 		opts.Plan = &p
 	}
@@ -91,30 +74,22 @@ func run() int {
 	vs := core.SoundVariants()
 	if *variants != "" {
 		vs = nil
-		for _, v := range strings.Split(*variants, ",") {
-			vs = append(vs, core.Variant(strings.TrimSpace(v)))
-		}
-	}
-	for _, v := range vs {
-		if _, err := v.Spec(); err != nil {
-			fmt.Fprintf(os.Stderr, "litmus: %v\n", err)
-			return 2
+		for _, word := range strings.Split(*variants, ",") {
+			v := core.Variant(strings.TrimSpace(word))
+			if _, err := v.Spec(); err != nil {
+				return cli.Failf(cli.Usage, "%v", err)
+			}
+			vs = append(vs, v)
 		}
 	}
 
 	tests := litmus.Suite()
 	if *name != "" {
-		var keep []litmus.Test
-		for _, t := range tests {
-			if t.Name == *name {
-				keep = append(keep, t)
-			}
+		i := slices.IndexFunc(tests, func(t litmus.Test) bool { return t.Name == *name })
+		if i < 0 {
+			return cli.Failf(cli.Usage, "unknown test %q", *name)
 		}
-		if len(keep) == 0 {
-			fmt.Fprintf(os.Stderr, "litmus: unknown test %q\n", *name)
-			return 2
-		}
-		tests = keep
+		tests = tests[i : i+1]
 	}
 
 	if *chaos {
@@ -124,8 +99,7 @@ func run() int {
 			for _, n := range strings.Split(*plans, ",") {
 				p, err := faults.ByName(strings.TrimSpace(n))
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "litmus: %v\n", err)
-					return 2
+					return cli.Failf(cli.Usage, "%v", err)
 				}
 				catalog = append(catalog, p)
 			}
@@ -135,10 +109,7 @@ func run() int {
 		if *coverage {
 			fmt.Print(summary.Coverage.String())
 		}
-		if summary.Failed() {
-			return 1
-		}
-		return 0
+		return cli.Status(summary.Failed())
 	}
 
 	failed := false
@@ -177,8 +148,5 @@ func run() int {
 			fmt.Println("note: no violation sampled; try more -seeds")
 		}
 	}
-	if failed {
-		return 1
-	}
-	return 0
+	return cli.Status(failed)
 }

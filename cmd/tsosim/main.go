@@ -17,8 +17,8 @@
 // -plan injects a named fault plan and -seed/-max-cycles pin the exact
 // machine, so a hang found by the chaos campaign reproduces in one
 // invocation; a hang or contained panic prints its full HangReport.
-// Malformed flags (-cores or -scale below 1, an unknown -class or
-// -variant) exit 2 before anything is simulated.
+// Malformed flags (-cores or -scale below 1, an unknown -class,
+// -variant, -workload or -plan) exit 2 before anything is simulated.
 package main
 
 import (
@@ -28,68 +28,51 @@ import (
 	"os"
 	"strings"
 
+	"wbsim/internal/cli"
 	"wbsim/internal/core"
 	"wbsim/internal/faults"
-	"wbsim/internal/profiling"
 	"wbsim/internal/runner"
 	"wbsim/internal/sim"
 	"wbsim/internal/workload"
 )
 
-func main() { os.Exit(run()) }
+var (
+	names     = flag.String("workload", "fft", "comma-separated workload names, or \"all\" (see -list)")
+	class     = flag.String("class", "SLM", "core class: SLM, NHM, HSW")
+	variant   = flag.String("variant", "ooo-wb", "system variant (see -list-variants)")
+	cores     = flag.Int("cores", 16, "number of cores")
+	scale     = flag.Int("scale", 1, "workload scale factor")
+	seed      = flag.Uint64("seed", 1, "simulation seed")
+	parallel  = flag.Int("parallel", 0, "max concurrent simulations (<=0: GOMAXPROCS)")
+	list      = flag.Bool("list", false, "list available workloads and exit")
+	listVars  = flag.Bool("list-variants", false, "list the registry-derived system variants and exit")
+	maxCycles = flag.Uint64("max-cycles", 0, "cycle budget per run (0: config default)")
+	planName  = flag.String("plan", "", "inject a named fault plan (see internal/faults)")
+)
 
-func run() int {
-	var (
-		names     = flag.String("workload", "fft", "comma-separated workload names, or \"all\" (see -list)")
-		class     = flag.String("class", "SLM", "core class: SLM, NHM, HSW")
-		variant   = flag.String("variant", "ooo-wb", "system variant (see -list-variants)")
-		cores     = flag.Int("cores", 16, "number of cores")
-		scale     = flag.Int("scale", 1, "workload scale factor")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		parallel  = flag.Int("parallel", 0, "max concurrent simulations (<=0: GOMAXPROCS)")
-		list      = flag.Bool("list", false, "list available workloads and exit")
-		listVars  = flag.Bool("list-variants", false, "list the registry-derived system variants and exit")
-		maxCycles = flag.Uint64("max-cycles", 0, "cycle budget per run (0: config default)")
-		planName  = flag.String("plan", "", "inject a named fault plan (see internal/faults)")
-	)
-	prof := profiling.AddFlags()
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "tsosim: unexpected arguments %v\n", flag.Args())
-		return 2
-	}
-	profiling.TuneGC()
+func main() { cli.Command{Profiled: true}.Main(run) }
 
+func run([]string) int {
 	if *list {
 		for _, w := range workload.All() {
 			fmt.Printf("%-14s %-8s %s\n", w.Name, w.Suite, w.Pattern)
 		}
-		return 0
+		return cli.OK
 	}
 	if *listVars {
 		fmt.Print(core.VariantHelp())
-		return 0
+		return cli.OK
 	}
 	if _, err := core.Variant(*variant).Spec(); err != nil {
-		fmt.Fprintf(os.Stderr, "tsosim: %v\n", err)
-		return 2
+		return cli.Failf(cli.Usage, "%v", err)
 	}
 	cls := core.Class(strings.ToUpper(*class))
 	if err := cls.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "tsosim: %v\n", err)
-		return 2
+		return cli.Failf(cli.Usage, "%v", err)
 	}
 	if *cores < 1 || *scale < 1 {
-		fmt.Fprintf(os.Stderr, "tsosim: -cores and -scale must be at least 1 (got %d and %d)\n", *cores, *scale)
-		return 2
+		return cli.Failf(cli.Usage, "-cores and -scale must be at least 1 (got %d and %d)", *cores, *scale)
 	}
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsosim: %v\n", err)
-		return 2
-	}
-	defer stopProf()
 
 	var ws []workload.Workload
 	if *names == "all" {
@@ -99,8 +82,7 @@ func run() int {
 			name = strings.TrimSpace(name)
 			w, ok := workload.Get(name)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "tsosim: unknown workload %q (use -list)\n", name)
-				return 1
+				return cli.Failf(cli.Usage, "unknown workload %q (use -list)", name)
 			}
 			ws = append(ws, w)
 		}
@@ -115,8 +97,7 @@ func run() int {
 	if *planName != "" {
 		p, err := faults.ByName(*planName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tsosim: %v\n", err)
-			return 2
+			return cli.Failf(cli.Usage, "%v", err)
 		}
 		cfg.Faults = &p
 	}
@@ -124,7 +105,7 @@ func run() int {
 	// Fan the independent simulations across workers; results land in
 	// per-workload slots so reports print in the order named.
 	results := make([]core.Results, len(ws))
-	err = runner.ForEach(context.Background(), *parallel, len(ws), func(_ context.Context, i int) error {
+	err := runner.ForEach(context.Background(), *parallel, len(ws), func(_ context.Context, i int) error {
 		_, res, err := workload.Run(ws[i], cfg, *scale)
 		if err != nil {
 			return fmt.Errorf("%s: %w", ws[i].Name, err)
@@ -133,11 +114,11 @@ func run() int {
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsosim: %v\n", err)
+		cli.Failf(cli.Found, "%v", err)
 		if se, ok := faults.AsSimError(err); ok {
 			fmt.Fprint(os.Stderr, se.Detail())
 		}
-		return 1
+		return cli.Found
 	}
 
 	for i, w := range ws {
@@ -146,7 +127,7 @@ func run() int {
 		}
 		printRun(w, cfg, *class, *variant, results[i])
 	}
-	return 0
+	return cli.OK
 }
 
 func printRun(w workload.Workload, cfg core.Config, class, variant string, res core.Results) {

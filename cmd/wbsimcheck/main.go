@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"wbsim/internal/cli"
 	"wbsim/internal/coherence"
 	"wbsim/internal/coherence/check"
 )
@@ -55,51 +55,35 @@ type report struct {
 // /proc/self/status (VmHWM). Returns 0 where that interface does not
 // exist (non-Linux); the report omits the field then.
 func peakRSSKB() int64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
+	data, _ := os.ReadFile("/proc/self/status")
+	var kb int64
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
+		if _, err := fmt.Sscanf(line, "VmHWM:%d", &kb); err == nil {
+			return kb
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		var kb int64
-		if _, err := fmt.Sscanf(fields[1], "%d", &kb); err != nil {
-			return 0
-		}
-		return kb
 	}
 	return 0
 }
 
-func main() { os.Exit(mainExit()) }
+var (
+	cores     = flag.Int("cores", 2, "model cores")
+	banks     = flag.Int("banks", 1, "LLC banks")
+	lines     = flag.Int("lines", 1, "distinct cache lines")
+	ops       = flag.Int("ops", 2, "program length per core (ops alternate load, store)")
+	lockdowns = flag.Int("lockdowns", 0, "per-core lockdown budget (lockdown mode)")
+	mode      = flag.String("mode", "squash", "core mode: "+strings.Join(coherence.ModeNames(), ", "))
+	preFix    = flag.Bool("prefix", false, "run the pre-fix directory tables (PR-5 deadlock)")
+	corrupt   = flag.Bool("corrupt", false, "run with the corrupted write-grant row (SWMR break)")
+	maxStates = flag.Int("max-states", 0, "state cap, 0 = unlimited (exhaustive)")
+	jsonOut   = flag.Bool("json", false, "emit the result as JSON")
+	workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel frontier workers (output is byte-identical at any count)")
+	reduce    = flag.String("reduce", "none", "sound reductions: none, sym, por, or sym,por")
+	progress  = flag.Bool("progress", false, "print per-layer frontier progress to stderr")
+)
 
-func mainExit() int {
-	var (
-		cores     = flag.Int("cores", 2, "model cores")
-		banks     = flag.Int("banks", 1, "LLC banks")
-		lines     = flag.Int("lines", 1, "distinct cache lines")
-		ops       = flag.Int("ops", 2, "program length per core (ops alternate load, store)")
-		lockdowns = flag.Int("lockdowns", 0, "per-core lockdown budget (lockdown mode)")
-		mode      = flag.String("mode", "squash", "core mode: "+strings.Join(coherence.ModeNames(), ", "))
-		preFix    = flag.Bool("prefix", false, "run the pre-fix directory tables (PR-5 deadlock)")
-		corrupt   = flag.Bool("corrupt", false, "run with the corrupted write-grant row (SWMR break)")
-		maxStates = flag.Int("max-states", 0, "state cap, 0 = unlimited (exhaustive)")
-		jsonOut   = flag.Bool("json", false, "emit the result as JSON")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel frontier workers (output is byte-identical at any count)")
-		reduce    = flag.String("reduce", "none", "sound reductions: none, sym, por, or sym,por")
-		progress  = flag.Bool("progress", false, "print per-layer frontier progress to stderr")
-	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "wbsimcheck: unexpected arguments %v\n", flag.Args())
-		return 2
-	}
+func main() { cli.Command{}.Main(run) }
 
+func run([]string) int {
 	// Exploration retains every fingerprint, so the live heap only
 	// grows; the default GC target reclaims little but rescans the
 	// whole graph constantly (over half the wall time at default GOGC).
@@ -118,24 +102,19 @@ func mainExit() int {
 	// makes its mode checkable here with no flag-parsing edits.
 	m, ok := coherence.ModeByName(*mode)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "wbsimcheck: unknown -mode %q (registered: %s)\n",
-			*mode, strings.Join(coherence.ModeNames(), ", "))
-		return 2
+		return cli.Failf(cli.Usage, "unknown -mode %q (registered: %s)", *mode, strings.Join(coherence.ModeNames(), ", "))
 	}
 	mcfg.Mode = m
 	if mcfg.Cores < 1 || mcfg.Banks < 1 || mcfg.Lines < 1 || mcfg.OpsPerCore < 1 {
-		fmt.Fprintln(os.Stderr, "wbsimcheck: -cores, -banks, -lines, -ops must be positive")
-		return 2
+		return cli.Failf(cli.Usage, "-cores, -banks, -lines, -ops must be positive")
 	}
 	if *maxStates < 0 {
-		fmt.Fprintf(os.Stderr, "wbsimcheck: -max-states must be 0 (unlimited) or positive, got %d\n", *maxStates)
-		return 2
+		return cli.Failf(cli.Usage, "-max-states must be 0 (unlimited) or positive, got %d", *maxStates)
 	}
 	// The model spends the lockdown budget only in lockdown mode; a
 	// budget anywhere else would be silently ignored.
 	if *lockdowns < 0 || (*lockdowns > 0 && m != coherence.ModeLockdown) {
-		fmt.Fprintf(os.Stderr, "wbsimcheck: -lockdowns %d: want 0, or a positive budget with -mode lockdown\n", *lockdowns)
-		return 2
+		return cli.Failf(cli.Usage, "-lockdowns %d: want 0, or a positive budget with -mode lockdown", *lockdowns)
 	}
 
 	ccfg := check.Config{Model: mcfg, MaxStates: *maxStates, Workers: *workers}
@@ -147,8 +126,7 @@ func mainExit() int {
 		case "por":
 			ccfg.POR = true
 		default:
-			fmt.Fprintf(os.Stderr, "wbsimcheck: unknown -reduce %q (want none, sym, por, or sym,por)\n", r)
-			return 2
+			return cli.Failf(cli.Usage, "unknown -reduce %q (want none, sym, por, or sym,por)", r)
 		}
 	}
 	start := time.Now()
@@ -167,19 +145,16 @@ func mainExit() int {
 	wall := time.Since(start)
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
 		rate := 0.0
 		if s := wall.Seconds(); s > 0 {
 			rate = float64(res.States) / s
 		}
-		if err := enc.Encode(report{
+		if code := cli.WriteJSON(report{
 			Config: mcfg, MaxStates: *maxStates, Workers: *workers, Reduce: *reduce,
 			Result: res, WallMS: float64(wall.Microseconds()) / 1000,
 			StatesSec: rate, PeakRSSKB: peakRSSKB(), Passed: res.Passed(),
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "wbsimcheck: %v\n", err)
-			return 2
+		}); code != cli.OK {
+			return code
 		}
 	} else {
 		scope := "exhaustive"
@@ -204,8 +179,5 @@ func mainExit() int {
 			fmt.Println("PASS: no safety violation, no unreachable-drain trap")
 		}
 	}
-	if !res.Passed() {
-		return 1
-	}
-	return 0
+	return cli.Status(!res.Passed())
 }

@@ -20,13 +20,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"wbsim/internal/analysis"
+	"wbsim/internal/cli"
 )
 
 // jsonDiag is the -json rendering of one diagnostic.
@@ -38,55 +39,49 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
-func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	flag.Parse()
+var (
+	list    = flag.Bool("list", false, "list the analyzers and exit")
+	jsonOut = flag.Bool("json", false, "emit diagnostics as JSON")
+	only    = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
+)
 
+func main() { cli.Command{MaxArgs: -1}.Main(run) }
+
+func run(patterns []string) int {
 	all := analysis.All()
 	if *list {
 		for _, a := range all {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
-		return
+		return cli.OK
 	}
 
 	analyzers := all
-	if *run != "" {
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range all {
-			byName[a.Name] = a
-		}
+	if *only != "" {
 		analyzers = nil
-		for _, name := range strings.Split(*run, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "wbsimlint: unknown analyzer %q (use -list)\n", name)
-				os.Exit(2)
+		for _, name := range strings.Split(*only, ",") {
+			i := slices.IndexFunc(all, func(a *analysis.Analyzer) bool { return a.Name == strings.TrimSpace(name) })
+			if i < 0 {
+				return cli.Failf(cli.Usage, "unknown analyzer %q (use -list)", name)
 			}
-			analyzers = append(analyzers, a)
+			analyzers = append(analyzers, all[i])
 		}
 	}
 
-	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wbsimlint: %v\n", err)
-		os.Exit(2)
+		return cli.Failf(cli.Usage, "%v", err)
 	}
 	fset, pkgs, err := analysis.Load(wd, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wbsimlint: %v\n", err)
-		os.Exit(2)
+		return cli.Failf(cli.Usage, "%v", err)
 	}
 	diags, err := analysis.Run(fset, pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wbsimlint: %v\n", err)
-		os.Exit(2)
+		return cli.Failf(cli.Usage, "%v", err)
 	}
 	if *jsonOut {
 		out := make([]jsonDiag, 0, len(diags))
@@ -99,11 +94,8 @@ func main() {
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "wbsimlint: %v\n", err)
-			os.Exit(2)
+		if code := cli.WriteJSON(out); code != cli.OK {
+			return code
 		}
 	} else {
 		for _, d := range diags {
@@ -111,7 +103,7 @@ func main() {
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "wbsimlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		os.Exit(1)
+		return cli.Failf(cli.Found, "%d finding(s) in %d package(s)", len(diags), len(pkgs))
 	}
+	return cli.OK
 }

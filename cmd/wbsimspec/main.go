@@ -20,11 +20,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
+	"wbsim/internal/cli"
 	"wbsim/internal/coherence"
 	"wbsim/internal/coherence/speclint"
 )
@@ -50,15 +49,14 @@ type coverageEntry struct {
 	Unfired  []string `json:"unfired,omitempty"`
 }
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit the findings (and coverage) as JSON")
-	coverage := flag.Bool("coverage", false, "run the directed stimulator suite and report statically reachable rows it never fired")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "wbsimspec: unexpected arguments %v\n", flag.Args())
-		os.Exit(2)
-	}
+var (
+	jsonOut  = flag.Bool("json", false, "emit the findings (and coverage) as JSON")
+	coverage = flag.Bool("coverage", false, "run the directed stimulator suite and report statically reachable rows it never fired")
+)
 
+func main() { cli.Command{}.Main(run) }
+
+func run([]string) int {
 	out := output{Findings: []speclint.Finding{}}
 	for _, sys := range coherence.SpecSystems() {
 		out.Systems = append(out.Systems, sys.Name)
@@ -81,11 +79,8 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "wbsimspec: %v\n", err)
-			os.Exit(2)
+		if code := cli.WriteJSON(out); code != cli.OK {
+			return code
 		}
 	} else {
 		for _, f := range out.Findings {
@@ -104,9 +99,8 @@ func main() {
 			fmt.Printf("wbsimspec: %d systems analyzed, 0 findings\n", len(out.Systems))
 		}
 	}
-	if len(out.Findings) > 0 || len(out.Conformance) > 0 {
-		fmt.Fprintf(os.Stderr, "wbsimspec: %d finding(s) over %d system(s)\n",
-			len(out.Findings)+len(out.Conformance), len(out.Systems))
-		os.Exit(1)
+	if n := len(out.Findings) + len(out.Conformance); n > 0 {
+		return cli.Failf(cli.Found, "%d finding(s) over %d system(s)", n, len(out.Systems))
 	}
+	return cli.OK
 }

@@ -2,9 +2,13 @@ package wbsim_test
 
 // Golden-output gate for the event-driven simulation kernel: the
 // command-line tools must produce byte-identical stdout to the goldens
-// captured from the tree *before* the kernel rework (testdata/golden_*):
+// in testdata/, each captured from a tree before the change it guards
+// (the kernel rework, or for the 4-core evaluation the shared front end
+// that made experiments read flags after its verb):
 //
-//   - golden_experiments_all_c4s1.txt: experiments all -cores 4 -scale 1
+//   - golden_experiments_all_c16s2.txt: experiments -cores 16 -scale 2 all,
+//     the paper's 16-core evaluation
+//   - golden_experiments_all_c4s1.txt: experiments -cores 4 -scale 1 all
 //   - golden_litmus_s2.txt: the litmus suite, 4 variants, seeds=2, jitter=24
 //   - golden_chaos_s2.txt: the chaos catalog on inorder-wb and ooo-wb,
 //     seeds=2, jitter=24
@@ -73,15 +77,23 @@ func TestGoldenOutputs(t *testing.T) {
 			"-chaos", "-seeds", "2", "-variants", "inorder-wb,ooo-wb")
 	})
 
-	// The full evaluation (Figures 8/9/10, squash study, ablations) takes
-	// a couple of minutes; run it via `make golden-full` or by setting
-	// WBSIM_GOLDEN_FULL=1.
-	t.Run("experiments_all_c4s1", func(t *testing.T) {
-		if os.Getenv("WBSIM_GOLDEN_FULL") == "" {
-			t.Skip("set WBSIM_GOLDEN_FULL=1 (or use `make golden-full`) to run the full-evaluation golden")
-		}
-		experiments := buildTool(t, dir, "experiments")
-		checkGolden(t, "golden_experiments_all_c4s1.txt", experiments,
-			"all", "-cores", "4", "-scale", "1")
-	})
+	// The full evaluation (Figures 8/9/10, squash study, ablations,
+	// protocols) takes most of a minute at 16 cores; run it via
+	// `make golden-full` or by setting WBSIM_GOLDEN_FULL=1.
+	var experiments string
+	for _, c := range []struct{ name, cores, scale string }{
+		{"experiments_all_c16s2", "16", "2"},
+		{"experiments_all_c4s1", "4", "1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if os.Getenv("WBSIM_GOLDEN_FULL") == "" {
+				t.Skip("set WBSIM_GOLDEN_FULL=1 (or use `make golden-full`) to run the full-evaluation goldens")
+			}
+			if experiments == "" {
+				experiments = buildTool(t, dir, "experiments")
+			}
+			checkGolden(t, "golden_"+c.name+".txt", experiments,
+				"-cores", c.cores, "-scale", c.scale, "all")
+		})
+	}
 }

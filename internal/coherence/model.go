@@ -305,7 +305,7 @@ func (c *modelCore) OnOwnedEviction(_ sim.Cycle, _ mem.Line) {}
 // ---------------------------------------------------------------------
 
 // choice is one enabled transition in compact form. Descriptions are
-// rendered on demand (ChoiceDesc): exploration replays millions of
+// rendered on demand (DescribeChoice): exploration replays millions of
 // transitions and must not pay for counterexample strings it will
 // never print.
 type choice struct {
@@ -459,16 +459,6 @@ func (m *Model) Apply(ch Choice) {
 // IsDelivery reports whether ch delivers an in-flight network message
 // (the only choice kind the partial-order reduction considers).
 func (m *Model) IsDelivery(ch Choice) bool { return ch.kind == chDeliver }
-
-// ChoiceDesc renders the i-th enabled transition for counterexample
-// traces. It must be called before the choice is applied.
-func (m *Model) ChoiceDesc(i int) string {
-	cs := m.choices()
-	if i < 0 || i >= len(cs) {
-		return fmt.Sprintf("choice %d of %d", i, len(cs))
-	}
-	return m.DescribeChoice(cs[i])
-}
 
 // DescribeChoice renders one enabled transition for counterexample
 // traces. It must be called before the choice is applied.

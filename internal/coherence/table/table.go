@@ -17,7 +17,6 @@ package table
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Kind classifies a transition row.
@@ -381,18 +380,4 @@ func (m *Machine[A]) Report(cov []uint64) Report {
 	}
 	sort.Strings(r.Unfired)
 	return r
-}
-
-// Dump renders the full table (for docs and debugging): one line per
-// row, grouped by state.
-func (m *Machine[A]) Dump() string {
-	var b strings.Builder
-	ne := len(m.events)
-	for s, sn := range m.states {
-		for e, en := range m.events {
-			i := s*ne + e
-			fmt.Fprintf(&b, "%-12s %-12s %-10s %s\n", sn, en, m.rows[i].kind, m.whys[i])
-		}
-	}
-	return b.String()
 }
